@@ -28,6 +28,15 @@ recurse.  Each draw costs ``O(R^2 log I_k)`` per mode after an
 ``O(I_k R^2)`` one-time tree build, and the only length-``I_k`` objects ever
 touched are the factor rows themselves.
 
+The descent evaluates the quadratic form as an inner product of flattened
+``R x R`` arrays: ``h^T (W * G_v) h = <vec(W * h h^T), vec(G_v)>``.  ``W``
+and ``h`` are fixed while one mode's draws descend, so each draw's
+``Q_d = vec(W * h_d h_d^T)`` is formed once per mode (about ``3 R^2``
+flops), and every level is then one gather of the visited node Grams plus a
+row-wise dot against ``Q`` (``2 R^2`` flops per node) — the per-level
+amortisation of the Bharadwaj et al. sampler.  The tree itself is built level
+by level, one vectorized pairwise sum per level.
+
 Registered as ``distribution="tree-leverage"`` in
 :mod:`repro.sketch.sampling`; statistical tests
 (``tests/test_sketch_treesample.py``) verify the draws match the exact
@@ -90,9 +99,18 @@ class GramSegmentTree:
         grams[self.size : self.size + self.n_rows] = np.einsum(
             "ir,is->irs", arr, arr
         )
-        for v in range(self.size - 1, 0, -1):
-            grams[v] = grams[2 * v] + grams[2 * v + 1]
+        # Nodes [lo, 2 lo) form one level; their children are [2 lo, 4 lo).
+        lo = self.size // 2
+        while lo >= 1:
+            np.add(
+                grams[2 * lo : 4 * lo : 2],
+                grams[2 * lo + 1 : 4 * lo : 2],
+                out=grams[lo : 2 * lo],
+            )
+            lo //= 2
         self._grams = grams
+        # Row v is vec(G_v): the descent's per-level gather reads this view.
+        self._flat_grams = grams.reshape(2 * self.size, self.rank * self.rank)
         observe_inc("treesample.tree_builds")
 
     @property
@@ -106,11 +124,11 @@ class GramSegmentTree:
             raise ParameterError(f"node {node} outside the tree (size {self.size})")
         return self._grams[node]
 
-    def _masses(self, nodes: np.ndarray, weight: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Subtree masses ``h_d^T (W * G_{v_d}) h_d`` for a batch of draws."""
+    def _masses(self, nodes: np.ndarray, quad: np.ndarray) -> np.ndarray:
+        """Subtree masses ``<Q_d, vec(G_{v_d})>`` for a batch of draws."""
         self.node_evaluations += int(nodes.shape[0])
         masses = np.einsum(
-            "dr,rs,drs,ds->d", h, weight, self._grams[nodes], h, optimize=True
+            "dk,dk->d", quad, np.take(self._flat_grams, nodes, axis=0)
         )
         # Schur products of PSD matrices are PSD, so negative masses are pure
         # floating-point noise; clamp so the descent comparisons stay ordered.
@@ -130,13 +148,33 @@ class GramSegmentTree:
             Per-draw conditioning vectors (``D x R``) — the elementwise
             product of the rows drawn for the earlier modes.
         u:
-            Per-draw uniforms in ``[0, 1)``; the target mass is
-            ``u * root mass``, so a fixed ``u`` makes the draw deterministic.
+            Per-draw uniforms in ``[0, 1)``, shape ``(D,)``; the target mass
+            is ``u * root mass``, so a fixed ``u`` makes the draw
+            deterministic.
         """
+        weight = np.asarray(weight, dtype=np.float64)
         h = np.atleast_2d(np.asarray(h, dtype=np.float64))
         u = np.asarray(u, dtype=np.float64)
-        nodes = np.ones(h.shape[0], dtype=np.int64)
-        root_mass = self._masses(nodes, weight, h)
+        n_draws = h.shape[0]
+        if h.ndim != 2 or h.shape[1] != self.rank:
+            raise ParameterError(
+                f"conditioning vectors must have shape (n_draws, {self.rank}), "
+                f"got {h.shape}"
+            )
+        if weight.shape != (self.rank, self.rank):
+            raise ParameterError(
+                f"weight must have shape ({self.rank}, {self.rank}), "
+                f"got {weight.shape}"
+            )
+        if u.shape != (n_draws,):
+            raise ParameterError(
+                f"u must hold one uniform per draw, shape ({n_draws},), "
+                f"got {u.shape}"
+            )
+        # Q_d = vec(W * h_d h_d^T): the mass of node v is <Q_d, vec(G_v)>.
+        quad = np.einsum("dr,rs,ds->drs", h, weight, h).reshape(n_draws, -1)
+        nodes = np.ones(n_draws, dtype=np.int64)
+        root_mass = self._masses(nodes, quad)
         if np.any(root_mass <= 0.0):
             raise ParameterError(
                 "tree-leverage descent reached a zero-mass subtree; the factor "
@@ -146,7 +184,7 @@ class GramSegmentTree:
         target = u * root_mass
         for _ in range(self.levels):
             left = 2 * nodes
-            left_mass = self._masses(left, weight, h)
+            left_mass = self._masses(left, quad)
             go_left = target < left_mass
             nodes = np.where(go_left, left, left + 1)
             target = np.where(go_left, target, target - left_mass)
@@ -325,7 +363,11 @@ class KRPTreeSampler:
 
         Counts ``2 R^2 + R`` per node-mass evaluation (one per descent level
         plus the root) and ``R`` per conditioning update — the measured
-        counterpart of :func:`repro.sketch.costmodel.tree_draw_flops`.
+        counterpart of :func:`repro.sketch.costmodel.tree_draw_flops`.  This
+        counted model is frozen by the recorded frontiers and is kept as is;
+        the executed arithmetic differs slightly: each mode forms a draw's
+        ``Q_d = vec(W * h_d h_d^T)`` once (about ``3 R^2`` flops), then
+        spends ``2 R^2`` per node on the row-wise dot ``<Q_d, vec(G_v)>``.
         """
         per_node = 2 * self.rank * self.rank + self.rank
         per_draw = sum((tree.levels + 1) * per_node + self.rank for tree in self.trees)

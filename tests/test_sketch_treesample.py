@@ -183,6 +183,119 @@ class TestGramSegmentTree:
             # all-zero conditioning vector: every subtree has zero mass
             t.batched_draw(np.eye(2), np.zeros((3, 2)), np.full(3, 0.5))
 
+    @pytest.mark.parametrize("u", [0.3, np.array([0.3]), np.full(5, 0.3), np.full((6, 1), 0.3)])
+    def test_rejects_u_not_one_per_draw(self, u):
+        """A scalar or length-1 ``u`` must not broadcast onto every draw."""
+        t = GramSegmentTree(np.random.default_rng(4).standard_normal((20, 2)))
+        with pytest.raises(ParameterError, match="u must hold one uniform per draw"):
+            t.batched_draw(np.eye(2), np.ones((6, 2)), u)
+
+    def test_rejects_conditioning_width_mismatch(self):
+        t = GramSegmentTree(np.random.default_rng(4).standard_normal((20, 2)))
+        with pytest.raises(ParameterError, match="conditioning vectors"):
+            t.batched_draw(np.eye(2), np.ones((6, 3)), np.full(6, 0.3))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2,)])
+    def test_rejects_weight_shape_mismatch(self, shape):
+        t = GramSegmentTree(np.random.default_rng(4).standard_normal((20, 2)))
+        with pytest.raises(ParameterError, match="weight must have shape"):
+            t.batched_draw(np.ones(shape), np.ones((6, 2)), np.full(6, 0.3))
+
+
+def pairwise_sum_tree(matrix: np.ndarray) -> np.ndarray:
+    """Reference heap of partial Grams: one node at a time, children summed."""
+    n_rows, rank = matrix.shape
+    size = 1 << (n_rows - 1).bit_length()
+    grams = np.zeros((2 * size, rank, rank))
+    for i in range(n_rows):
+        grams[size + i] = np.outer(matrix[i], matrix[i])
+    for v in range(size - 1, 0, -1):
+        grams[v] = grams[2 * v] + grams[2 * v + 1]
+    return grams
+
+
+def reference_descent(tree, weight, h, u):
+    """Scalar per-draw descent evaluating ``h_d^T (W * G_v) h_d`` explicitly.
+
+    Returns the drawn rows and, per draw, the masses the descent compares:
+    the root mass followed by one left-child mass per level.
+    """
+    rows, masses = [], []
+    for h_d, u_d in zip(h, u):
+
+        def mass(v):
+            return max(float(h_d @ (weight * tree.node_gram(v)) @ h_d), 0.0)
+
+        node = 1
+        path = [mass(1)]
+        target = u_d * path[0]
+        for _ in range(tree.levels):
+            left = 2 * node
+            left_mass = mass(left)
+            path.append(left_mass)
+            if target < left_mass:
+                node = left
+            else:
+                node = left + 1
+                target -= left_mass
+        rows.append(min(node - tree.size, tree.n_rows - 1))
+        masses.append(path)
+    return np.array(rows, dtype=np.int64), np.array(masses)
+
+
+class TestDescentOracle:
+    """The vectorised descent against a scalar per-draw reference."""
+
+    @pytest.mark.parametrize(
+        "n_rows, rank, n_draws",
+        [(13, 3, 40), (64, 16, 50), (100, 1, 60), (5, 7, 17), (1, 1, 5), (1, 4, 9)],
+    )
+    def test_matches_scalar_reference(self, n_rows, rank, n_draws):
+        rng = np.random.default_rng(1000 * n_rows + rank)
+        matrix = rng.standard_normal((n_rows, rank))
+        other = rng.standard_normal((7, rank))
+        tree = GramSegmentTree(matrix)
+        # A realistic conditional weight: G^+ Hadamard a later mode's Gram.
+        weight = np.linalg.pinv(tree.root_gram * (other.T @ other)) * (other.T @ other)
+        h = rng.standard_normal((n_draws, rank))
+        u = rng.random(n_draws)
+
+        recorded = []
+        masses_of = tree._masses
+
+        def spy(*args):
+            out = masses_of(*args)
+            recorded.append(out.copy())
+            return out
+
+        tree._masses = spy
+        tree.node_evaluations = 0
+        rows = tree.batched_draw(weight, h, u)
+        ref_rows, ref_masses = reference_descent(tree, weight, h, u)
+
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, ref_rows)
+        got = np.stack(recorded, axis=1)
+        assert got.shape == ref_masses.shape == (n_draws, tree.levels + 1)
+        scale = ref_masses[:, :1]
+        assert np.all(np.abs(got - ref_masses) <= 1e-12 * scale)
+        assert tree.node_evaluations == n_draws * (tree.levels + 1)
+
+    @pytest.mark.parametrize("n_rows", [1, 5, 64, 384])
+    def test_level_wise_build_matches_pairwise_sums(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        matrix = rng.standard_normal((n_rows, 5))
+        tree = GramSegmentTree(matrix)
+        reference = pairwise_sum_tree(matrix)
+        for v in range(1, 2 * tree.size):
+            assert np.array_equal(tree.node_gram(v), reference[v])
+        for v in range(1, tree.size):
+            assert np.array_equal(
+                tree.node_gram(v), tree.node_gram(2 * v) + tree.node_gram(2 * v + 1)
+            )
+        gram = matrix.T @ matrix
+        assert np.allclose(tree.root_gram, gram, rtol=1e-12, atol=1e-12 * np.abs(gram).max())
+
 
 class TestExactnessOracle:
     """The tree's conditionals factor into exactly the leverage joint."""
