@@ -1,4 +1,4 @@
-"""Benchmark / ablation harness: processor-grid selection (DESIGN.md ablation).
+"""Benchmark / ablation harness: processor-grid selection.
 
 Compares the paper's ``P_k ∝ I_k`` grid rule against the exhaustive best
 integer factorization (what `choose_stationary_grid` computes) and against a

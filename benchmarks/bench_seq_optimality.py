@@ -3,7 +3,7 @@
 Executes the counted sequential algorithms over a sweep of fast-memory sizes
 and reports measured loads+stores against the paper's lower bounds (Eq. (23),
 Eq. (24)), the blocked upper bound (Eq. (21)) and the matmul baseline model.
-Also includes the block-size ablation called out in DESIGN.md.
+Also includes the block-size ablation (block size ``b`` swept at a fixed ``M``).
 """
 
 from conftest import emit

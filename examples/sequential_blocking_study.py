@@ -8,8 +8,8 @@ blocked algorithm's measured loads+stores track the lower bound
 algorithm and the matmul baseline do not improve with ``M`` in the same way.
 
 It also sweeps the block size ``b`` at a fixed memory size to show that the
-paper's choice ``b ~ (alpha*M)^(1/N)`` is the right one (the ablation called
-out in DESIGN.md).
+paper's choice ``b ~ (alpha*M)^(1/N)`` is the right one (the block-size
+ablation).
 
 Run with ``python examples/sequential_blocking_study.py``.
 """

@@ -22,16 +22,11 @@ Quick start::
     assert np.allclose(run.assemble(), reference)
     print(run.max_words_communicated)
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure and comparison.
+See the package map in README.md for the full system inventory;
+``python -m repro.experiments`` prints the paper-vs-measured record of every
+figure and comparison.
 """
 
-from repro.backend import (
-    Backend,
-    available_backend_names,
-    backend_names,
-    get_backend,
-)
 from repro.core import (
     DimensionTree,
     DimensionTreeKernel,
@@ -67,10 +62,6 @@ from repro.sketch import (
 __version__ = "1.1.0"
 
 __all__ = [
-    "Backend",
-    "available_backend_names",
-    "backend_names",
-    "get_backend",
     "mttkrp",
     "mttkrp_reference",
     "mttkrp_via_matmul",

@@ -19,7 +19,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backend import Backend, get_backend
 from repro.core.blocked_mttkrp import blocked_mttkrp, dense_mttkrp
 from repro.core.dimtree import DimensionTreeKernel
 from repro.core.kernels import mttkrp
@@ -37,7 +36,7 @@ from repro.observe.tracer import trace
 from repro.resilience.checkpoint import CheckpointState, CheckpointStore
 from repro.tensor.dense import as_ndarray
 from repro.tensor.kruskal import KruskalTensor
-from repro.utils.validation import check_rank
+from repro.utils.validation import check_factor_matrices, check_rank
 
 #: Signature of a pluggable MTTKRP kernel: (tensor, factors, mode) -> (I_mode, R) array.
 MTTKRPKernel = Callable[[np.ndarray, Sequence[Optional[np.ndarray]], int], np.ndarray]
@@ -188,34 +187,16 @@ def _resolve_kernel(
     seed: Union[None, int, np.random.Generator] = None,
     invalidation: str = "exact",
     invalidation_tol: float = 1e-2,
-    backend: Union[None, str, Backend] = None,
     threads: Optional[int] = None,
 ) -> SweepKernel:
     if isinstance(kernel, SweepKernel) or callable(kernel):
-        if backend is not None and get_backend(backend).name != "numpy":
-            raise ParameterError(
-                "backend selection applies only to named kernels; "
-                "explicit kernel objects manage their own execution backend"
-            )
         return as_sweep_kernel(kernel)
     check_kernel_name(kernel, KERNEL_NAMES)
-    exec_backend = get_backend(backend)
-    if exec_backend.name != "numpy" and kernel not in (
-        "einsum",
-        "dimtree",
-        "sampled-dimtree",
-    ):
-        raise ParameterError(
-            f"kernel {kernel!r} does not support non-default execution backends; "
-            "use 'einsum', 'dimtree', or 'sampled-dimtree'"
-        )
     if kernel == "dimtree":
         # A fresh engine per run: the tree binds to the run's tensor on the
         # first call and caches partial contractions across the whole run.
         return DimensionTreeKernel(
-            invalidation=invalidation,
-            residual_tol=invalidation_tol,
-            backend=exec_backend,
+            invalidation=invalidation, residual_tol=invalidation_tol
         )
     if kernel == "sampled-dimtree":
         # The fused engine: leverage draws served from the dimension tree's
@@ -227,24 +208,21 @@ def _resolve_kernel(
             seed=_kernel_seed(seed),
             invalidation=invalidation,
             residual_tol=invalidation_tol,
-            backend=exec_backend,
         )
     if kernel == "einsum":
-        return PerCallKernel(
-            lambda tensor, factors, mode: mttkrp(
-                tensor, factors, mode, backend=exec_backend
-            )
-        )
+        # Looked up at call time, not bound at import, so wrappers installed
+        # on this module's ``mttkrp`` see every call.
+        return PerCallKernel(lambda tensor, factors, mode: mttkrp(tensor, factors, mode))
     if kernel == "blocked":
         return PerCallKernel(
             lambda tensor, factors, mode: blocked_mttkrp(
-                tensor, factors, mode, backend=exec_backend, threads=threads
+                tensor, factors, mode, threads=threads
             )
         )
     if kernel == "auto":
         return PerCallKernel(
             lambda tensor, factors, mode: dense_mttkrp(
-                tensor, factors, mode, backend=exec_backend, threads=threads
+                tensor, factors, mode, threads=threads
             )
         )
     if kernel in ("sampled", "sampled-tree"):
@@ -276,7 +254,6 @@ def cp_als(
     kernel: Union[str, MTTKRPKernel] = "einsum",
     invalidation: str = "exact",
     invalidation_tol: float = 1e-2,
-    backend: Union[None, str, Backend] = None,
     threads: Optional[int] = None,
     warn_on_nonconvergence: bool = False,
     on_fault: str = "raise",
@@ -315,12 +292,6 @@ def cp_als(
         drift stays within ``invalidation_tol`` (see
         :class:`~repro.core.dimtree.FactorGate`).  Ignored by the per-call
         kernels and by explicitly constructed kernel instances.
-    backend:
-        Execution backend name or instance
-        (:func:`repro.backend.get_backend`) used by the named kernels that
-        support backend dispatch (``"einsum"``, ``"dimtree"``,
-        ``"sampled-dimtree"``).  Selecting a non-default backend for any
-        other kernel raises :class:`~repro.exceptions.ParameterError`.
     threads:
         Thread count for the kernels that execute chunks on the shared
         thread executor (``"blocked"`` / ``"auto"``; ``None`` consults the
@@ -363,7 +334,7 @@ def cp_als(
         )
     _check_finite("tensor", data)
     sweep_kernel = _resolve_kernel(
-        kernel, seed, invalidation, invalidation_tol, backend, threads
+        kernel, seed, invalidation, invalidation_tol, threads
     )
 
     if isinstance(init, str):
@@ -372,6 +343,7 @@ def cp_als(
         factors = [np.asarray(f, dtype=np.float64).copy() for f in init]
         if len(factors) != data.ndim:
             raise ParameterError("explicit init must provide one factor matrix per mode")
+        check_factor_matrices(factors, data.shape, rank)
         for mode, factor in enumerate(factors):
             _check_finite(f"init factor for mode {mode}", factor)
 

@@ -2,8 +2,9 @@
 
 Each harness returns plain data structures (lists of dataclasses / dicts) and
 has a ``format_*`` companion that renders the same rows as aligned text, so
-the benchmarks, the examples, and EXPERIMENTS.md all print from one source of
-truth.  See DESIGN.md §4 for the experiment index.
+the benchmarks, the examples, and the ``python -m repro.experiments`` report
+all print from one source of truth.  The experiment index is
+:data:`repro.experiments.cli.EXPERIMENTS`.
 """
 
 from repro.experiments.figure1 import figure1_projection_report, format_figure1_report

@@ -4,7 +4,7 @@
 and prints (or writes to a file) the same tables that the benchmarks emit,
 so a reader can produce the full paper-vs-measured record without pytest.
 
-Individual experiments can be selected by id (see DESIGN.md §4)::
+Individual experiments can be selected by id (the keys of ``EXPERIMENTS``)::
 
     python -m repro.experiments --only fig4-strong-scaling tab-crossover
     python -m repro.experiments --quick --output report.txt
@@ -116,7 +116,7 @@ def _run_sketch_parallel(quick: bool) -> str:
     return format_sketch_parallel_table(rows)
 
 
-#: Experiment id (DESIGN.md §4) -> harness.
+#: Experiment id -> harness.
 EXPERIMENTS: Dict[str, Callable[[bool], str]] = {
     "fig1-projections": _run_figure1,
     "fig4-strong-scaling": _run_figure4,
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for the tests)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
-        description="Regenerate the paper's figures and comparisons (see DESIGN.md §4).",
+        description="Regenerate the paper's figures and comparisons.",
     )
     parser.add_argument(
         "--only",

@@ -10,7 +10,7 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]], *, ti
 
     Numbers are rendered with :func:`format_number`; everything else with
     ``str``.  Used by every experiment harness so benchmark output, example
-    output and EXPERIMENTS.md share one format.
+    output and the ``python -m repro.experiments`` report share one format.
     """
     rendered: List[List[str]] = [[str(h) for h in headers]]
     for row in rows:

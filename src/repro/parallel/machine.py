@@ -1,6 +1,6 @@
 """Simulated distributed-memory machine with per-processor communication ledgers.
 
-This is the substitution for a real MPI machine (see DESIGN.md): ``P`` ranks,
+This is the substitution for a real MPI machine: ``P`` ranks,
 each with its own local numpy buffers, connected by a network on which the
 collectives of :mod:`repro.parallel.collectives` move data.  The machine does
 not model time — it records, per rank, the number of words sent, the number

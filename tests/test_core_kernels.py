@@ -7,6 +7,7 @@ from repro.core.kernels import _PATH_CACHE, mttkrp, mttkrp_flops, local_mttkrp
 from repro.core.matmul_baseline import mttkrp_via_matmul
 from repro.core.reference import mttkrp_reference
 from repro.exceptions import ShapeError
+from repro.observe import tracing
 from repro.tensor.dense import DenseTensor
 from repro.tensor.khatri_rao import khatri_rao_excluding
 from repro.tensor.kruskal import KruskalTensor
@@ -146,8 +147,8 @@ class TestFlopCounts:
 
 
 def _float64_key(shape, mode, rank, n_operands):
-    """The cache key of an all-float64 NumPy-backend MTTKRP call."""
-    return ("numpy", (shape, mode, rank), ("float64",) * n_operands)
+    """The cache key of an all-float64 MTTKRP call."""
+    return ((shape, mode, rank), ("float64",) * n_operands)
 
 
 class TestContractionPathCache:
@@ -184,9 +185,24 @@ class TestContractionPathCache:
         )
         assert len(_PATH_CACHE) == 2
         key64 = _float64_key((4, 5, 6), 1, 3, 3)
-        key32 = ("numpy", ((4, 5, 6), 1, 3), ("float32",) * 3)
+        key32 = (((4, 5, 6), 1, 3), ("float32",) * 3)
         assert key64 in _PATH_CACHE and key32 in _PATH_CACHE
         assert np.allclose(wide, narrow, atol=1e-4)
+
+    @pytest.mark.parametrize("mode", [0, 1, 2, 3])
+    def test_key_is_shape_mode_rank_and_dtypes(self, mode):
+        """Each mode of a 4-way problem plans once under its own key; the
+        repeat call is a cache hit and returns the same bits."""
+        _PATH_CACHE.clear()
+        tensor, factors = problem((2, 3, 4, 3), 2, seed=31)
+        with tracing() as session:
+            first = mttkrp(tensor, factors, mode)
+            second = mttkrp(tensor, factors, mode)
+        assert list(_PATH_CACHE) == [_float64_key((2, 3, 4, 3), mode, 2, 4)]
+        counters = session.metrics.counters()
+        assert (counters["path_cache.miss"], counters["path_cache.hit"]) == (1, 1)
+        assert first.tobytes() == second.tobytes()
+        assert np.allclose(first, mttkrp_reference(tensor, factors, mode))
 
     def test_cached_path_matches_reference(self):
         _PATH_CACHE.clear()

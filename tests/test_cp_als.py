@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cp.als import cp_als
+from repro.cp.als import KERNEL_NAMES, cp_als
 from repro.cp.initialization import initialize_factors
-from repro.exceptions import ParameterError
+from repro.exceptions import ParameterError, ShapeError
 from repro.tensor.random import noisy_low_rank_tensor, random_low_rank_tensor, random_tensor
 
 
@@ -122,45 +122,6 @@ class TestCPALSOptions:
         with pytest.raises(ParameterError):
             cp_als(random_tensor((3, 3), seed=0), 2, kernel="gpu")
 
-    def test_explicit_numpy_backend_matches_default(self):
-        tensor = random_low_rank_tensor((6, 5, 4), 2, seed=40)
-        a = cp_als(tensor, 2, n_iter_max=8, seed=41, kernel="einsum")
-        b = cp_als(tensor, 2, n_iter_max=8, seed=41, kernel="einsum", backend="numpy")
-        assert np.allclose(a.fits, b.fits, atol=1e-12)
-
-    def test_backend_accepted_by_dimtree_kernels(self):
-        tensor = random_low_rank_tensor((6, 5, 4), 2, seed=42)
-        result = cp_als(
-            tensor, 2, n_iter_max=5, seed=43, kernel="dimtree", backend="numpy"
-        )
-        assert result.n_iterations >= 1
-
-    def test_non_default_backend_rejected_for_numpy_bound_kernels(self):
-        from repro.backend.numpy_backend import NumpyBackend
-
-        class OtherBackend(NumpyBackend):
-            name = "other"
-
-        tensor = random_tensor((4, 4, 4), seed=44)
-        for kernel in ("matmul", "sampled", "sampled-tree", "blocked", "auto"):
-            with pytest.raises(ParameterError, match="does not support"):
-                cp_als(tensor, 2, kernel=kernel, backend=OtherBackend())
-
-    def test_non_default_backend_rejected_for_kernel_instances(self):
-        from repro.backend.numpy_backend import NumpyBackend
-        from repro.core.dimtree import DimensionTreeKernel
-
-        class OtherBackend(NumpyBackend):
-            name = "other"
-
-        tensor = random_tensor((4, 4, 4), seed=45)
-        with pytest.raises(ParameterError, match="manage their own"):
-            cp_als(tensor, 2, kernel=DimensionTreeKernel(), backend=OtherBackend())
-
-    def test_unknown_backend_name_rejected(self):
-        with pytest.raises(ParameterError, match="unknown execution backend"):
-            cp_als(random_tensor((3, 3), seed=0), 2, backend="tpu")
-
     def test_explicit_initial_factors(self):
         tensor = random_low_rank_tensor((5, 5, 5), 2, seed=16)
         init = initialize_factors(tensor, 2, method="svd")
@@ -171,6 +132,51 @@ class TestCPALSOptions:
         tensor = random_tensor((4, 4, 4), seed=17)
         with pytest.raises(ParameterError):
             cp_als(tensor, 2, init=[np.zeros((4, 2))])
+
+    def test_explicit_init_wrong_factor_shape(self):
+        """Too many columns, or too few rows in a factor the first update
+        overwrites unread, must both be rejected up front."""
+        tensor = random_tensor((5, 6, 7), seed=17)
+        wide = [np.ones((5, 4)), np.ones((6, 4)), np.ones((7, 4))]
+        short_rows = [np.ones((4, 3)), np.ones((6, 3)), np.ones((7, 3))]
+        for init in (wide, short_rows):
+            with pytest.raises(ShapeError, match="factor matrix for mode"):
+                cp_als(tensor, 3, init=init, n_iter_max=2)
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    @pytest.mark.parametrize("defect", ["rows", "cols"])
+    def test_explicit_init_wrong_shape_names_the_mode(self, mode, defect):
+        """Every mode's factor is checked, and the error names that mode."""
+        tensor = random_tensor((5, 6, 7), seed=17)
+        init = [np.ones((n, 3)) for n in tensor.shape]
+        rows, cols = init[mode].shape
+        init[mode] = np.ones((rows - 1, cols) if defect == "rows" else (rows, cols + 1))
+        with pytest.raises(ShapeError, match=f"factor matrix for mode {mode}"):
+            cp_als(tensor, 3, init=init, n_iter_max=2)
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_explicit_init_checked_whatever_the_kernel(self, kernel):
+        """Mode 0's factor is overwritten unread by the first update, so only
+        the up-front check catches a wrong row count, for every kernel."""
+        tensor = random_tensor((5, 6, 7), seed=17)
+        short_rows = [np.ones((4, 3)), np.ones((6, 3)), np.ones((7, 3))]
+        with pytest.raises(ShapeError, match="factor matrix for mode 0"):
+            cp_als(tensor, 3, init=short_rows, kernel=kernel, n_iter_max=2, seed=1)
+
+    def test_explicit_init_one_dimensional_factor_rejected(self):
+        tensor = random_tensor((5, 6, 7), seed=17)
+        init = [np.ones(5), np.ones((6, 3)), np.ones((7, 3))]
+        with pytest.raises(ShapeError, match="must be 2-D"):
+            cp_als(tensor, 3, init=init, n_iter_max=2)
+
+    def test_explicit_init_is_not_mutated(self):
+        tensor = random_low_rank_tensor((6, 5, 4), 2, seed=18)
+        init = initialize_factors(tensor, 2, method="random", seed=3)
+        before = [f.copy() for f in init]
+        result = cp_als(tensor, 2, init=init, n_iter_max=3, tol=0.0)
+        assert len(result.fits) == 3
+        for given, kept in zip(init, before):
+            assert np.array_equal(given, kept)
 
     def test_svd_init_string(self):
         tensor = random_low_rank_tensor((6, 5, 4), 2, seed=18)

@@ -5,8 +5,8 @@ import pytest
 
 from repro.cp.als import cp_als
 from repro.cp.parallel_als import parallel_cp_als
-from repro.exceptions import ParameterError
-from repro.tensor.random import random_low_rank_tensor
+from repro.exceptions import ParameterError, ShapeError
+from repro.tensor.random import random_low_rank_tensor, random_tensor
 
 
 class TestParallelCPALS:
@@ -30,26 +30,6 @@ class TestParallelCPALS:
         result = parallel_cp_als(tensor, 2, n_procs=8, n_iter_max=4, tol=0.0, seed=3)
         assert len(set(result.words_per_iteration)) == 1
 
-    def test_explicit_numpy_backend_matches_default(self, tensor):
-        default = parallel_cp_als(tensor, 2, n_procs=8, n_iter_max=3, tol=0.0, seed=2)
-        explicit = parallel_cp_als(
-            tensor, 2, n_procs=8, n_iter_max=3, tol=0.0, seed=2, backend="numpy"
-        )
-        assert np.allclose(default.als.fits, explicit.als.fits, atol=1e-12)
-        assert default.total_words == explicit.total_words
-
-    def test_non_default_backend_rejected_for_non_exact_kernels(self, tensor):
-        from repro.backend.numpy_backend import NumpyBackend
-
-        class OtherBackend(NumpyBackend):
-            name = "other"
-
-        for kernel in ("dimtree", "sampled", "sampled-tree", "sampled-dimtree"):
-            with pytest.raises(ParameterError, match="does not support"):
-                parallel_cp_als(
-                    tensor, 2, n_procs=8, kernel=kernel, backend=OtherBackend()
-                )
-
     def test_general_algorithm_option(self, tensor):
         result = parallel_cp_als(
             tensor, 2, n_procs=8, algorithm="general", n_iter_max=2, tol=0.0, seed=4
@@ -64,6 +44,26 @@ class TestParallelCPALS:
     def test_single_processor_has_no_communication(self, tensor):
         result = parallel_cp_als(tensor, 2, n_procs=1, n_iter_max=2, tol=0.0, seed=6)
         assert result.total_words == 0
+
+    def test_explicit_init_wrong_factor_shape(self):
+        """The forwarded ``init`` is validated like the sequential driver's."""
+        tensor = random_tensor((5, 6, 7), seed=17)
+        wide = [np.ones((5, 4)), np.ones((6, 4)), np.ones((7, 4))]
+        short_rows = [np.ones((4, 3)), np.ones((6, 3)), np.ones((7, 3))]
+        for init in (wide, short_rows):
+            with pytest.raises(ShapeError, match="factor matrix for mode"):
+                parallel_cp_als(tensor, 3, n_procs=2, init=init, n_iter_max=2)
+
+    @pytest.mark.parametrize("algorithm", ["stationary", "general"])
+    @pytest.mark.parametrize("mode", [0, 2])
+    def test_explicit_init_wrong_rows_rejected_per_algorithm(self, algorithm, mode):
+        tensor = random_tensor((5, 6, 7), seed=17)
+        init = [np.ones((n, 3)) for n in tensor.shape]
+        init[mode] = np.ones((tensor.shape[mode] + 1, 3))
+        with pytest.raises(ShapeError, match=f"factor matrix for mode {mode}"):
+            parallel_cp_als(
+                tensor, 3, n_procs=4, algorithm=algorithm, init=init, n_iter_max=2
+            )
 
     def test_invalid_algorithm(self, tensor):
         with pytest.raises(ParameterError):
