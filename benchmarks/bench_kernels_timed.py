@@ -1,33 +1,29 @@
-"""Timed MTTKRP kernel races: sparse chunked vs. legacy, dense blocked vs. einsum.
+"""Timed sparse MTTKRP kernel races: chunked vs. legacy ``np.add.at``.
 
 Records ``benchmarks/BENCH_kernels_timed.json`` (a *timed* record like
 ``als_dimtree_timing.json``: wall-clock numbers vary run to run, so the file
-is gitignored and never byte-checked in CI).  Sparse rows race the unchunked
+is gitignored and never byte-checked in CI).  Every row races the unchunked
 reference kernel against the chunked kernel (for the threaded rows, at every
-requested thread count); dense rows race the
-monolithic einsum kernel against the cache-blocked tiled GEMM of
-:mod:`repro.core.blocked_mttkrp`.  Every candidate takes the median of at
+requested thread count).  Every candidate takes the median of at
 least three repetitions (:func:`repro.observe.median_time`) with
 per-repetition p50/p99 sourced from the tracer's span histograms, and then
 the wall-clock model of :mod:`repro.costmodel.kernel_timing` is held against
 reality:
 
 * the modelled winner must equal the measured winner on **every** row,
-* at least one sparse row must have the chunked kernel beating ``np.add.at``,
-* at least one dense row must have the blocked kernel beating einsum, and
+* at least one row must have the chunked kernel beating ``np.add.at``, and
 * on a multi-core machine, at least one row must have a threaded candidate
-  beating serial execution.  On a single-core machine (the recording
-  container has one CPU) a threaded candidate can never genuinely win — the
-  core-count-aware model predicts exactly that, so threaded rows there
-  demonstrate the model pricing executor dispatch and partial-fold overhead
-  correctly instead; rows that *need* real parallelism to be decisive are
-  skipped and recorded with a reason.
+  beating serial execution.  On a single-core machine a threaded candidate
+  can never genuinely win — the core-count-aware model predicts exactly
+  that, so threaded rows there demonstrate the model pricing executor
+  dispatch and partial-fold overhead correctly instead; rows that *need*
+  real parallelism to be decisive are skipped and recorded with a reason.
 
 Environment knobs (CI-friendly, mirroring the other benchmarks' style):
 
 ``BENCH_KERNELS_QUICK=1``
-    Run only the decisive quick rows (sparse chunked/unchunked wins, dense
-    blocked/einsum wins, one threaded-overhead row).
+    Run only the decisive quick rows (chunked/unchunked wins, one
+    threaded-overhead row).
 ``BENCH_KERNELS_TIMED_JSON=/path/to.json``
     Output path override.
 """
@@ -42,14 +38,9 @@ import numpy as np
 
 from conftest import emit
 from repro.backend.parallel import effective_cpu_count
-from repro.core.blocked_mttkrp import blocked_mttkrp
-from repro.core.kernels import mttkrp
 from repro.costmodel.kernel_timing import (
-    EINSUM_LABEL,
     UNCHUNKED_LABEL,
     chunked_label,
-    dense_blocked_label,
-    predicted_dense_timings,
     predicted_sparse_timings,
 )
 from repro.observe.tracer import median_time, trace, tracing
@@ -83,26 +74,10 @@ SPARSE_CASES = [
     ("threaded-large", (200, 200, 200), 200_000, 32, None, (1, 2), 2),
 ]
 
-#: name, shape, rank, forced tiles (int or None for the machine model's
-#: choice), thread counts to race, minimum cores the row needs.
-DENSE_CASES = [
-    # Big tensor at low rank: einsum's non-BLAS reduce pass over the
-    # contraction intermediate crawls and the tiled GEMM wins ~2x.
-    ("dense-large-lowR", (300, 300, 300), 16, None, (1,), 1),
-    # Deliberately tiny forced tiles: a thousand tile iterations of Python
-    # overhead — the monolithic einsum wins decisively.
-    ("dense-tiny-tiles", (80, 80, 80), 32, 8, (1,), 1),
-    # The blocked win re-raced with 2 threads over disjoint output-row
-    # tiles: pure parallel speedup, decisive only with real cores.
-    ("dense-threaded", (300, 300, 300), 16, None, (1, 2), 2),
-]
-
 QUICK_CASE_NAMES = (
     "large-3way",
     "tiny-forced-chunks",
     "threaded-tiny-chunks",
-    "dense-large-lowR",
-    "dense-tiny-tiles",
 )
 
 
@@ -117,7 +92,7 @@ def _sparse_problem(shape, nnz, rank, seed):
     return tensor, factors
 
 
-def _race(candidates, rtol=0.0, atol=1e-12):
+def _race(candidates):
     """Median-time every candidate once warmed; cross-check the results."""
     measured = {}
     percentiles = {}
@@ -130,7 +105,7 @@ def _race(candidates, rtol=0.0, atol=1e-12):
             if reference is None:
                 reference = warm
             else:
-                np.testing.assert_allclose(warm, reference, atol=atol, rtol=rtol)
+                np.testing.assert_allclose(warm, reference, atol=1e-12, rtol=0.0)
 
             def traced(label=label, fn=fn):
                 with trace(label):
@@ -181,42 +156,6 @@ def _race_sparse_row(name, shape, nnz, rank, forced, threads_options, seed):
     }
 
 
-def _race_dense_row(name, shape, rank, tiles, threads_options, seed):
-    rng = np.random.default_rng(seed)
-    data = rng.standard_normal(shape)
-    factors = random_factors(shape, rank, seed=seed + 1)
-    mode = 0
-
-    candidates = {EINSUM_LABEL: lambda: mttkrp(data, factors, mode)}
-    for threads in threads_options:
-        candidates[dense_blocked_label(threads)] = (
-            lambda t=threads: blocked_mttkrp(
-                data, factors, mode, tiles=tiles, threads=t
-            )
-        )
-
-    # The blocked kernel reassociates the per-row sums over non-output
-    # tiles, so cross-check with a reassociation-sized tolerance (the
-    # bitwise contracts are covered by the unit tests).
-    measured, percentiles = _race(candidates, rtol=1e-9, atol=1e-8)
-    predicted = predicted_dense_timings(
-        shape, rank, mode=mode, tiles=tiles, threads_options=threads_options
-    )
-    return {
-        "kind": "dense",
-        "case": name,
-        "shape": list(shape),
-        "rank": rank,
-        "tiles": tiles,
-        "threads_options": list(threads_options),
-        "median_seconds": measured,
-        "span_percentiles": percentiles,
-        "predicted_seconds": predicted,
-        "measured_winner": min(measured, key=measured.get),
-        "predicted_winner": min(predicted, key=predicted.get),
-    }
-
-
 def _winner_threads(label):
     """Thread count encoded in a timing label (1 for serial labels)."""
     if ":t" in label:
@@ -242,15 +181,6 @@ def test_bench_kernels_timed_json():
         rows.append(
             _race_sparse_row(name, shape, nnz, rank, forced, threads_options, seed=5)
         )
-    for name, shape, rank, tiles, threads_options, min_cores in DENSE_CASES:
-        if quick and name not in QUICK_CASE_NAMES:
-            continue
-        if cores < min_cores:
-            skipped_rows.append(
-                {"case": name, "reason": f"needs >= {min_cores} cores, have {cores}"}
-            )
-            continue
-        rows.append(_race_dense_row(name, shape, rank, tiles, threads_options, seed=7))
 
     target = Path(
         os.environ.get(
@@ -283,19 +213,13 @@ def test_bench_kernels_timed_json():
         lines.append(f"  {row['case']:>20} skipped: {row['reason']}")
     emit("timed MTTKRP kernel races", "\n".join(lines))
 
-    # The cost model must call every recorded row correctly; the chunked
-    # kernel must demonstrably beat the legacy np.add.at path somewhere, and
-    # the blocked dense kernel must beat einsum somewhere.
+    # The cost model must call every recorded row correctly, and the chunked
+    # kernel must demonstrably beat the legacy np.add.at path somewhere.
     for row in rows:
         assert row["predicted_winner"] == row["measured_winner"], row["case"]
-    sparse_rows = [row for row in rows if row["kind"] == "sparse"]
-    dense_rows = [row for row in rows if row["kind"] == "dense"]
     assert any(
-        row["measured_winner"] != UNCHUNKED_LABEL for row in sparse_rows
+        row["measured_winner"] != UNCHUNKED_LABEL for row in rows
     ), "no recorded configuration where the chunked kernel wins"
-    assert any(
-        row["measured_winner"] != EINSUM_LABEL for row in dense_rows
-    ), "no recorded configuration where the blocked dense kernel wins"
     # Threaded candidates can only genuinely win with real cores; on a
     # single-core machine the model predicts (and the rows confirm) that
     # serial execution keeps every row.

@@ -1,9 +1,10 @@
-"""Execution services shared by the chunked MTTKRP kernels.
+"""Execution services shared by the chunked sparse MTTKRP and the simulated
+parallel algorithms.
 
 Two services, both plain NumPy: the thread-parallel chunk executor of
 :mod:`repro.backend.parallel` (deterministic fixed-order reduction, thread
 count from ``REPRO_THREADS``) and the workspace pool of
-:mod:`repro.backend.workspace` (reusable chunk/tile temporaries shared across
+:mod:`repro.backend.workspace` (reusable chunk temporaries shared across
 chunks and ALS sweeps).
 """
 

@@ -1,8 +1,9 @@
-"""Thread-parallel chunk executor shared by the blocked/chunked kernels.
+"""Thread-parallel task executor shared by the chunked sparse kernel and the
+simulated parallel algorithms.
 
-Both chunked kernels — the blocked dense MTTKRP of
-:mod:`repro.core.blocked_mttkrp` and the chunked sparse MTTKRP of
-:mod:`repro.tensor.sparse` — decompose their work into *independent* chunk
+The chunked sparse MTTKRP of :mod:`repro.tensor.sparse` and the per-rank
+local MTTKRPs of Algorithms 3 and 4 (:mod:`repro.parallel.stationary`,
+:mod:`repro.parallel.general`) decompose their work into *independent*
 tasks and run them through :func:`parallel_map`.  The executor's contract is
 deliberately stronger than "runs things concurrently":
 
@@ -15,7 +16,7 @@ deliberately stronger than "runs things concurrently":
   partial results in task order on the calling thread.  Folding partial ``i``
   into an accumulator that started from partial ``0`` reproduces the serial
   left-to-right accumulation bit for bit (IEEE-754 addition of the first
-  operand onto a fresh zero buffer is exact), so the threaded kernels are
+  operand onto a fresh zero buffer is exact), so the threaded paths are
   bitwise equal to their serial counterparts for any thread count.  This is
   the same determinism discipline the chunked sparse kernel's single-chunk
   fallback already follows, lifted to the thread dimension.
@@ -23,9 +24,10 @@ deliberately stronger than "runs things concurrently":
 Thread counts resolve through :func:`resolve_threads`: an explicit argument
 wins, otherwise the ``REPRO_THREADS`` environment variable, otherwise 1
 (serial).  :func:`effective_cpu_count` reports the cores the process may
-actually use (CPU affinity aware) — the quantity the wall-clock model of
-:mod:`repro.costmodel.kernel_timing` uses to predict whether threading can
-pay at all: on a single-core machine it never does, and the model says so.
+actually use (CPU affinity aware) — the quantity the sparse wall-clock model
+of :mod:`repro.costmodel.kernel_timing` uses to predict whether threading
+can pay at all: on a single-core machine it never does, and the model says
+so.
 
 Worker tasks must not touch the observability layer (the tracer's span stack
 is context-local to the calling thread); callers tally chunk/task counters in
@@ -40,6 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.exceptions import ParameterError
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "THREADS_ENV_VAR",
@@ -78,7 +81,8 @@ def resolve_threads(threads: Optional[int] = None) -> int:
     """Resolve a thread-count request to a validated positive integer.
 
     ``None`` falls back to the :data:`THREADS_ENV_VAR` environment variable
-    (itself defaulting to 1 when unset or empty).  The result is *not*
+    (itself defaulting to 1 when unset or empty).  A fractional or boolean
+    count is rejected, not truncated.  The result is *not*
     clamped to the machine's core count: requesting more threads than cores
     is legal (the kernels stay bitwise identical), merely unprofitable — the
     cost model, not the resolver, is the judge of what pays.
@@ -93,8 +97,8 @@ def resolve_threads(threads: Optional[int] = None) -> int:
             raise ParameterError(
                 f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}"
             ) from None
-    threads = int(threads)
-    if threads < 1 or threads > MAX_THREADS:
+    threads = check_positive_int(threads, "threads")
+    if threads > MAX_THREADS:
         raise ParameterError(
             f"threads must be in [1, {MAX_THREADS}], got {threads}"
         )

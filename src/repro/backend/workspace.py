@@ -1,8 +1,7 @@
-"""Workspace pool: reusable tile/chunk temporaries.
+"""Workspace pool: reusable chunk temporaries.
 
-The blocked dense kernel and the chunked sparse kernel allocate the same
-small set of scratch shapes over and over — a gathered-factor block, a
-contribution block, a matricized tile, a Khatri-Rao row block — once per
+The chunked sparse kernel allocates the same small set of scratch shapes
+over and over — a gathered-factor block, a contribution block — once per
 chunk, thousands of chunks per ALS sweep, dozens of sweeps per run.  A
 :class:`WorkspacePool` turns those allocations into checkouts from a
 per-``(shape, dtype)`` arena: the first borrow of a shape allocates
@@ -38,7 +37,7 @@ __all__ = [
 #: Free-list capacity of the default pool, in words: 2^22 words = 32 MiB of
 #: float64 — a few times the kernels' fast-memory chunk budget, so every
 #: scratch shape of a steady-state ALS run stays pooled while a burst of
-#: one-off shapes (ragged edge tiles of a cold problem) gets shed.
+#: one-off shapes (ragged edge chunks of a cold problem) gets shed.
 DEFAULT_WORKSPACE_CAPACITY_WORDS = 1 << 22
 
 

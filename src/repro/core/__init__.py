@@ -10,11 +10,6 @@ Three single-node kernels are provided:
   baseline of Section III-B: explicit mode-n unfolding, explicit Khatri-Rao
   product, then a single GEMM.
 
-:mod:`repro.core.blocked_mttkrp` adds the cache-blocked tiled-GEMM kernel
-(:func:`blocked_mttkrp`) — the executable form of the sequential blocking
-argument at wall-clock scale — and :func:`dense_mttkrp`, the cost-model
-``method="auto"`` dispatch between it and the einsum kernel.
-
 For CP-ALS workloads, :mod:`repro.core.dimtree` provides the sweep-aware
 dimension-tree engine (:class:`DimensionTreeKernel`, kernel ``"dimtree"``)
 that caches partial contractions across mode updates, and
@@ -26,7 +21,6 @@ Algorithms 3 & 4) live in :mod:`repro.sequential` and :mod:`repro.parallel`.
 
 from repro.core.reference import mttkrp_reference
 from repro.core.kernels import mttkrp, local_mttkrp
-from repro.core.blocked_mttkrp import DENSE_METHODS, blocked_mttkrp, dense_mttkrp
 from repro.core.matmul_baseline import mttkrp_via_matmul
 from repro.core.multi_mode import multi_mode_mttkrp, MultiModeResult
 from repro.core.dimtree import (
@@ -54,9 +48,6 @@ __all__ = [
     "mttkrp_reference",
     "mttkrp",
     "local_mttkrp",
-    "DENSE_METHODS",
-    "blocked_mttkrp",
-    "dense_mttkrp",
     "mttkrp_via_matmul",
     "multi_mode_mttkrp",
     "MultiModeResult",

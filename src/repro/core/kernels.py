@@ -42,11 +42,11 @@ MAX_MODES = len(string.ascii_lowercase) - 1
 #: doubles as recency order: hits are moved to the end, overflow evicts the
 #: oldest entry) so a long multi-problem process sheds cold one-off shapes
 #: while the hot steady-state ALS paths survive.  Shared mutable state the
-#: moment kernels run on the thread executor (tile tasks of the blocked
-#: kernel may plan paths concurrently), so every lookup/move-to-end/evict
-#: happens under ``_PATH_CACHE_LOCK`` — path *planning* itself runs outside
-#: the lock (it is pure), at worst duplicating a plan that the last writer
-#: then wins.
+#: moment kernels run on the thread executor (the per-rank tasks of
+#: Algorithms 3 and 4 may plan paths concurrently), so every
+#: lookup/move-to-end/evict happens under ``_PATH_CACHE_LOCK`` — path
+#: *planning* itself runs outside the lock (it is pure), at worst
+#: duplicating a plan that the last writer then wins.
 _PATH_CACHE: OrderedDict = OrderedDict()
 _PATH_CACHE_MAX_ENTRIES = 512
 _PATH_CACHE_LOCK = threading.Lock()

@@ -13,13 +13,13 @@ user-supplied (e.g. counted) kernel.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.blocked_mttkrp import blocked_mttkrp, dense_mttkrp
 from repro.core.dimtree import DimensionTreeKernel
 from repro.core.kernels import mttkrp
 from repro.core.matmul_baseline import mttkrp_via_matmul
@@ -36,7 +36,7 @@ from repro.observe.tracer import trace
 from repro.resilience.checkpoint import CheckpointState, CheckpointStore
 from repro.tensor.dense import as_ndarray
 from repro.tensor.kruskal import KruskalTensor
-from repro.utils.validation import check_factor_matrices, check_rank
+from repro.utils.validation import check_factor_matrices, check_positive_int, check_rank
 
 #: Signature of a pluggable MTTKRP kernel: (tensor, factors, mode) -> (I_mode, R) array.
 MTTKRPKernel = Callable[[np.ndarray, Sequence[Optional[np.ndarray]], int], np.ndarray]
@@ -51,14 +51,10 @@ _KERNELS = {
 #: :func:`_resolve_kernel`; ``"dimtree"`` is the sweep-aware dimension-tree
 #: engine of :mod:`repro.core.dimtree`, ``"sampled-dimtree"`` the fused
 #: sampled engine of :mod:`repro.core.sampled_dimtree` that serves leverage
-#: draws from the tree's cached partial contractions; ``"blocked"`` is the
-#: cache-blocked tiled-GEMM kernel of :mod:`repro.core.blocked_mttkrp` and
-#: ``"auto"`` its cost-model dispatch between einsum and blocked).
+#: draws from the tree's cached partial contractions).
 KERNEL_NAMES = (
     "einsum",
     "matmul",
-    "blocked",
-    "auto",
     "dimtree",
     "sampled",
     "sampled-tree",
@@ -187,7 +183,6 @@ def _resolve_kernel(
     seed: Union[None, int, np.random.Generator] = None,
     invalidation: str = "exact",
     invalidation_tol: float = 1e-2,
-    threads: Optional[int] = None,
 ) -> SweepKernel:
     if isinstance(kernel, SweepKernel) or callable(kernel):
         return as_sweep_kernel(kernel)
@@ -213,18 +208,6 @@ def _resolve_kernel(
         # Looked up at call time, not bound at import, so wrappers installed
         # on this module's ``mttkrp`` see every call.
         return PerCallKernel(lambda tensor, factors, mode: mttkrp(tensor, factors, mode))
-    if kernel == "blocked":
-        return PerCallKernel(
-            lambda tensor, factors, mode: blocked_mttkrp(
-                tensor, factors, mode, threads=threads
-            )
-        )
-    if kernel == "auto":
-        return PerCallKernel(
-            lambda tensor, factors, mode: dense_mttkrp(
-                tensor, factors, mode, threads=threads
-            )
-        )
     if kernel in ("sampled", "sampled-tree"):
         # Imported lazily: repro.sketch layers on this driver, so a module-level
         # import would be circular.  A fresh kernel is built per run so that an
@@ -254,7 +237,6 @@ def cp_als(
     kernel: Union[str, MTTKRPKernel] = "einsum",
     invalidation: str = "exact",
     invalidation_tol: float = 1e-2,
-    threads: Optional[int] = None,
     warn_on_nonconvergence: bool = False,
     on_fault: str = "raise",
     checkpoint_store: Optional[CheckpointStore] = None,
@@ -269,9 +251,10 @@ def cp_als(
     rank:
         Target CP rank ``R``.
     n_iter_max:
-        Maximum number of ALS sweeps (each sweep updates every mode once).
+        Maximum number of ALS sweeps (each sweep updates every mode once);
+        a non-negative integer.
     tol:
-        Convergence tolerance on the change in fit between sweeps.
+        Convergence tolerance on the change in fit between sweeps (not NaN).
     init:
         ``"random"``, ``"svd"``, or an explicit list of initial factor
         matrices.
@@ -292,12 +275,6 @@ def cp_als(
         drift stays within ``invalidation_tol`` (see
         :class:`~repro.core.dimtree.FactorGate`).  Ignored by the per-call
         kernels and by explicitly constructed kernel instances.
-    threads:
-        Thread count for the kernels that execute chunks on the shared
-        thread executor (``"blocked"`` / ``"auto"``; ``None`` consults the
-        ``REPRO_THREADS`` environment variable, default 1).  Results are
-        bitwise identical for every value — the blocked kernel parallelises
-        only over disjoint output-row tiles.  Ignored by the other kernels.
     warn_on_nonconvergence:
         Emit a :class:`~repro.exceptions.ConvergenceWarning` when the loop
         exhausts ``n_iter_max`` without meeting ``tol``.
@@ -332,10 +309,11 @@ def cp_als(
         raise ParameterError(
             f"unknown on_fault policy {on_fault!r}; use one of {FAULT_POLICIES}"
         )
+    n_iter_max = check_positive_int(n_iter_max, "n_iter_max", minimum=0)
+    if math.isnan(tol):
+        raise ParameterError("tol must not be NaN")
     _check_finite("tensor", data)
-    sweep_kernel = _resolve_kernel(
-        kernel, seed, invalidation, invalidation_tol, threads
-    )
+    sweep_kernel = _resolve_kernel(kernel, seed, invalidation, invalidation_tol)
 
     if isinstance(init, str):
         factors = initialize_factors(data, rank, method=init, seed=seed)

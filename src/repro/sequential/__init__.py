@@ -17,14 +17,11 @@ Three executable algorithms are provided:
 
 from repro.sequential.machine import TwoLevelMemory, IOCounter
 from repro.sequential.block_size import (
-    DEFAULT_DENSE_TILE_MEMORY_WORDS,
     DEFAULT_SPARSE_CHUNK_MEMORY_WORDS,
     max_block_size,
     block_size_is_valid,
     choose_block_size,
-    choose_dense_tiles,
     choose_sparse_chunks,
-    dense_tile_working_set_words,
     minimum_memory_for_block,
     sparse_chunk_working_set_words,
 )
@@ -39,11 +36,8 @@ __all__ = [
     "max_block_size",
     "block_size_is_valid",
     "choose_block_size",
-    "choose_dense_tiles",
     "choose_sparse_chunks",
-    "dense_tile_working_set_words",
     "sparse_chunk_working_set_words",
-    "DEFAULT_DENSE_TILE_MEMORY_WORDS",
     "DEFAULT_SPARSE_CHUNK_MEMORY_WORDS",
     "minimum_memory_for_block",
     "sequential_unblocked_mttkrp",

@@ -125,98 +125,6 @@ def choose_sparse_chunks(
     return nzchunk, rchunk
 
 
-#: Fast-memory budget (words) for the dense tile chooser — the same
-#: last-level-cache-scale quantity ``M`` as the sparse chunk chooser: the
-#: blocked dense kernel's tile working set must live at cache scale for the
-#: tiling to beat the monolithic einsum contraction.
-DEFAULT_DENSE_TILE_MEMORY_WORDS = DEFAULT_SPARSE_CHUNK_MEMORY_WORDS
-
-
-def dense_tile_working_set_words(
-    tiles: Sequence[int], rank: int, mode: int
-) -> int:
-    """Fast-memory words one tile iteration of the blocked dense kernel touches.
-
-    One matricized sub-tensor tile (``prod(tiles)`` words), the Khatri-Rao
-    row block of the non-output tiles (``prod(tiles) / tiles[mode] * R``),
-    the gathered factor row tiles plus the output tile
-    (``sum(tiles) * R``) — the rank-aware dense analogue of
-    :func:`working_set_words`'s ``b^N + N b``.
-    """
-    rank = check_positive_int(rank, "rank")
-    tiles = [check_positive_int(t, "tile") for t in tiles]
-    if len(tiles) < 2:
-        raise ParameterError("dense tiles need at least 2 modes")
-    if not 0 <= int(mode) < len(tiles):
-        raise ParameterError(f"mode {mode} out of range for {len(tiles)} tiles")
-    block_words = 1
-    for t in tiles:
-        block_words *= t
-    krp_words = (block_words // tiles[int(mode)]) * rank
-    factor_words = sum(tiles) * rank
-    return block_words + krp_words + factor_words
-
-
-def choose_dense_tiles(
-    shape: Sequence[int],
-    rank: int,
-    mode: int,
-    memory_words: int = DEFAULT_DENSE_TILE_MEMORY_WORDS,
-    *,
-    alpha: float = 0.99,
-) -> Tuple[int, ...]:
-    """Per-mode tile sizes for the blocked dense MTTKRP.
-
-    The machine-model analogue of :func:`choose_block_size` for the tiled
-    matricized-GEMM kernel of :func:`repro.core.blocked_mttkrp.blocked_mttkrp`:
-    the largest uniform tile edge ``b`` (clamped per mode to the tensor
-    extents, so a short mode frees budget for the long ones) whose working
-    set (:func:`dense_tile_working_set_words`) fits in ``alpha * M``.  Always
-    valid — the all-ones tiling is the floor, exactly like the sparse
-    chooser's ``nzchunk >= 1``.
-
-    Parameters
-    ----------
-    shape:
-        Tensor extents (``N >= 2`` modes).
-    rank:
-        CP rank ``R`` of the factor matrices.
-    mode:
-        Output mode of the MTTKRP the tiles serve (its tile carries no
-        Khatri-Rao block, so the budget splits differently per mode).
-    memory_words:
-        Fast-memory budget ``M`` in words (default: last-level-cache scale).
-    alpha:
-        Fraction of ``M`` the working set may fill, as in Theorem 6.1.
-    """
-    shape = [check_positive_int(dim, "extent") for dim in shape]
-    if len(shape) < 2:
-        raise ParameterError("dense tiles need at least 2 modes")
-    rank = check_positive_int(rank, "rank")
-    if not 0 <= int(mode) < len(shape):
-        raise ParameterError(f"mode {mode} out of range for {len(shape)} modes")
-    memory_words = check_positive_int(memory_words, "memory_words")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    budget = alpha * memory_words
-
-    def tiles_for(edge: int) -> Tuple[int, ...]:
-        return tuple(min(edge, dim) for dim in shape)
-
-    # The working set is monotone in the uniform edge, so bisect on it; the
-    # edge never needs to exceed the longest mode.
-    low, high = 1, max(shape)
-    if dense_tile_working_set_words(tiles_for(high), rank, mode) <= budget:
-        return tiles_for(high)
-    while low < high:
-        middle = (low + high + 1) // 2
-        if dense_tile_working_set_words(tiles_for(middle), rank, mode) <= budget:
-            low = middle
-        else:
-            high = middle - 1
-    return tiles_for(low)
-
-
 def choose_block_size(
     n_modes: int, memory_words: int, *, alpha: float = 0.99, shape: Sequence[int] = ()
 ) -> int:

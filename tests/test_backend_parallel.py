@@ -5,7 +5,7 @@ back in task-index order regardless of completion order, thread-count
 resolution is explicit-arg > ``REPRO_THREADS`` > 1, errors propagate after
 all tasks settle, and :func:`ordered_reduce` folds partials in a fixed
 left-to-right order — the properties the bitwise-determinism claims of the
-blocked/chunked kernels rest on.
+chunked sparse kernel and the threaded Algorithm 3/4 rank tasks rest on.
 """
 
 import threading
@@ -49,6 +49,29 @@ class TestResolveThreads:
     def test_out_of_range_raises(self, bad):
         with pytest.raises(ParameterError):
             resolve_threads(bad)
+
+    @pytest.mark.parametrize("bad", [2.7, True, "3"])
+    def test_non_integral_counts_raise(self, bad):
+        """A fractional count is rejected, never truncated to fewer workers."""
+        with pytest.raises(ParameterError, match="threads"):
+            resolve_threads(bad)
+
+    @pytest.mark.parametrize("count", [3.0, np.int64(3)])
+    def test_integral_counts_accepted(self, count):
+        assert resolve_threads(count) == 3
+
+    def test_fractional_count_rejected_by_the_sparse_kernel(self):
+        from repro.tensor.random import random_factors
+        from repro.tensor.sparse import SparseTensor, sparse_mttkrp
+
+        tensor = SparseTensor(
+            shape=(4, 4, 4), coords=np.array([[0, 1, 2], [3, 0, 1]]), values=np.ones(2)
+        )
+        with pytest.raises(ParameterError, match="threads"):
+            sparse_mttkrp(
+                tensor, random_factors((4, 4, 4), 2, seed=0), 0,
+                nzchunk=1, rchunk=1, threads=2.9,
+            )
 
     def test_oversubscription_is_legal(self):
         """More threads than cores is allowed — the cost model judges value."""

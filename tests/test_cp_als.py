@@ -84,25 +84,34 @@ class TestCPALSOptions:
         assert np.allclose(a.fits, b.fits, atol=1e-10)
         assert a.mttkrp_calls == b.mttkrp_calls
 
-    def test_blocked_and_auto_kernels_match_einsum_trajectory(self):
-        tensor = noisy_low_rank_tensor((9, 8, 7), 3, noise_level=0.02, seed=30)
-        a = cp_als(tensor, 3, n_iter_max=15, tol=0.0, seed=31, kernel="einsum")
-        for kernel in ("blocked", "auto"):
-            b = cp_als(tensor, 3, n_iter_max=15, tol=0.0, seed=31, kernel=kernel)
-            assert np.allclose(a.fits, b.fits, atol=1e-10), kernel
+    # "blocked" and "auto" are retired kernel names: they must fail loudly.
+    @pytest.mark.parametrize("name", ["gpu", "blocked", "auto"])
+    def test_unknown_kernel_message_unified(self, name):
+        with pytest.raises(ParameterError, match=f"unknown MTTKRP kernel '{name}'; use one of"):
+            cp_als(random_tensor((3, 3), seed=0), 2, kernel=name)
 
-    def test_blocked_kernel_threads_do_not_change_the_trajectory(self):
-        """Thread counts change scheduling, never fits — bitwise contract."""
-        tensor = noisy_low_rank_tensor((10, 9, 8), 3, noise_level=0.02, seed=32)
-        serial = cp_als(tensor, 3, n_iter_max=8, tol=0.0, seed=33, kernel="blocked", threads=1)
-        threaded = cp_als(tensor, 3, n_iter_max=8, tol=0.0, seed=33, kernel="blocked", threads=3)
-        assert np.array_equal(serial.fits, threaded.fits)
-        for a, b in zip(serial.model.factors, threaded.model.factors):
-            assert a.tobytes() == b.tobytes()
+    def test_no_threads_option(self):
+        """The dense kernels run serially; ``threads=`` is not an option."""
+        with pytest.raises(TypeError, match="threads"):
+            cp_als(random_tensor((3, 3, 3), seed=0), 2, threads=2)
 
-    def test_unknown_kernel_message_unified(self):
-        with pytest.raises(ParameterError, match="unknown MTTKRP kernel 'gpu'; use one of"):
-            cp_als(random_tensor((3, 3), seed=0), 2, kernel="gpu")
+    @pytest.mark.parametrize(
+        "options, name",
+        [
+            ({"n_iter_max": -3}, "n_iter_max"),
+            ({"n_iter_max": 2.5}, "n_iter_max"),
+            ({"n_iter_max": True}, "n_iter_max"),
+            ({"tol": float("nan")}, "tol"),
+        ],
+    )
+    def test_invalid_loop_controls_rejected(self, options, name):
+        with pytest.raises(ParameterError, match=name):
+            cp_als(random_tensor((4, 4, 4), seed=0), 2, seed=1, **options)
+
+    @pytest.mark.parametrize("n_iter_max", [0, 3.0])
+    def test_integral_n_iter_max_accepted(self, n_iter_max):
+        result = cp_als(random_tensor((4, 4, 4), seed=0), 2, n_iter_max=n_iter_max, tol=0.0)
+        assert result.n_iterations == len(result.fits) == int(n_iter_max)
 
     def test_custom_kernel_callable(self):
         from repro.core.kernels import mttkrp

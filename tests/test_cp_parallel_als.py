@@ -65,6 +65,11 @@ class TestParallelCPALS:
                 tensor, 3, n_procs=4, algorithm=algorithm, init=init, n_iter_max=2
             )
 
+    @pytest.mark.parametrize("options", [{"n_iter_max": -1}, {"tol": float("nan")}])
+    def test_invalid_loop_controls_rejected(self, tensor, options):
+        with pytest.raises(ParameterError):
+            parallel_cp_als(tensor, 2, n_procs=4, seed=1, **options)
+
     def test_invalid_algorithm(self, tensor):
         with pytest.raises(ParameterError):
             parallel_cp_als(tensor, 2, n_procs=4, algorithm="hybrid")

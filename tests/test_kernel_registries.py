@@ -6,6 +6,9 @@ their registry's names verbatim — the single shared
 :func:`repro.core.sweep_kernel.check_kernel_name` guarantees the wording.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cp.als import KERNEL_NAMES, cp_als
@@ -42,6 +45,26 @@ class TestRegistryConsistency:
         for name in ("dimtree", "sampled", "sampled-tree", "sampled-dimtree"):
             assert name in KERNEL_NAMES
             assert name in PARALLEL_KERNEL_NAMES
+
+    def test_einsum_is_the_only_per_call_dense_kernel(self):
+        """``matmul`` is the explicit-KRP baseline; no second dense path is listed."""
+        assert KERNEL_NAMES == (
+            "einsum", "matmul", "dimtree", "sampled", "sampled-tree", "sampled-dimtree"
+        )
+
+    def test_retired_dense_module_holds_no_code_and_is_not_imported(self):
+        import repro.core.blocked_mttkrp as retired
+
+        assert [name for name in vars(retired) if not name.startswith("__")] == []
+        root = Path(__file__).resolve().parent.parent
+        importers = [
+            str(path.relative_to(root))
+            for folder in ("src", "benchmarks", "examples")
+            for path in sorted((root / folder).rglob("*.py"))
+            if re.search(r"^\s*(from|import)\s+repro\.core\.blocked_mttkrp\b",
+                         path.read_text(), re.MULTILINE)
+        ]
+        assert importers == []
 
 
 class TestErrorMessagesListRegistryVerbatim:

@@ -212,29 +212,3 @@ class TestWorkspaceAndThreadCounters:
         # High-water = both buffers checked out at once: 8 + 12 words.
         summary = session.metrics.histogram_summary("workspace.high_water_words")
         assert summary["max"] == 20.0
-
-    def test_blocked_dense_counters_are_exact(self):
-        from repro.core.blocked_mttkrp import blocked_mttkrp
-
-        rng = np.random.default_rng(5)
-        data = rng.standard_normal((8, 6, 4))
-        factors = random_factors((8, 6, 4), 3, seed=6)
-        with tracing() as session:
-            blocked_mttkrp(data, factors, 0, tiles=(4, 3, 2), threads=2)
-            blocked_mttkrp(data, factors, 0, tiles=(8, 6, 4))  # covering
-        counters = session.metrics.counters()
-        # 2 output tiles x (2 x 2) non-output combos from the tiled call.
-        assert counters["blocked_mttkrp.tiles"] == 8
-        assert counters["blocked_mttkrp.threads"] == 2
-        assert counters["blocked_mttkrp.fallback"] == 1
-
-    def test_dense_dispatch_counters_are_exact(self):
-        from repro.core.blocked_mttkrp import dense_mttkrp
-
-        rng = np.random.default_rng(7)
-        small = rng.standard_normal((8, 7, 6))
-        small_factors = random_factors((8, 7, 6), 4, seed=8)
-        with tracing() as session:
-            dense_mttkrp(small, small_factors, 0, method="auto", tiles=2)
-        assert session.metrics.counters()["dense_dispatch.einsum"] == 1
-        assert "dense_dispatch.blocked" not in session.metrics.counters()

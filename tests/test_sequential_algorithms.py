@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.bounds.sequential import sequential_lower_bound
 from repro.core.kernels import mttkrp
@@ -15,6 +17,25 @@ from repro.tensor.random import random_factors, random_tensor
 
 def problem(shape=(8, 9, 10), rank=4, seed=0):
     return random_tensor(shape, seed=seed), random_factors(shape, rank, seed=seed + 1)
+
+
+def integer_problem(shape, rank, seed, *, noncontiguous=False):
+    """Integer-valued float64 tensor + factors: every partial sum is exact.
+
+    Summing a row's block contributions in any order then gives the same
+    bits, so Algorithm 2 can be compared with the einsum kernel at atol=0.
+    """
+    rng = np.random.default_rng(seed)
+    data = rng.integers(-2, 3, size=shape).astype(np.float64)
+    if noncontiguous:
+        # Row- and column-strided views: block slicing must not assume contiguity.
+        factors = [
+            rng.integers(-2, 3, size=(2 * dim, 2 * rank)).astype(np.float64)[::2, ::2]
+            for dim in shape
+        ]
+    else:
+        factors = [rng.integers(-2, 3, size=(dim, rank)).astype(np.float64) for dim in shape]
+    return data, factors
 
 
 class TestUnblockedAlgorithm:
@@ -118,6 +139,72 @@ class TestBlockedAlgorithm:
         result = sequential_blocked_mttkrp(tensor, factors, 2, block=4)
         assert np.allclose(result.result, mttkrp(tensor, factors, 2))
         assert result.words_moved == blocked_io_cost(shape, rank, 2, 4)
+
+
+class TestBlockedEqualsEinsum:
+    """Algorithm 2 computes exactly the einsum MTTKRP for every block size."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=40)
+    @given(
+        block=st.integers(min_value=1, max_value=9),
+        mode=st.integers(min_value=0, max_value=2),
+        rank=st.sampled_from([1, 2, 5]),
+        seed=st.integers(min_value=0, max_value=6),
+        noncontiguous=st.booleans(),
+    )
+    def test_any_block_matches_einsum_exactly(self, block, mode, rank, seed, noncontiguous):
+        """Blocks of 1 up to past the largest extent (8), R=1 included."""
+        shape = (7, 8, 6)
+        data, factors = integer_problem(shape, rank, seed, noncontiguous=noncontiguous)
+        result = sequential_blocked_mttkrp(data, factors, mode, block=block)
+        np.testing.assert_array_equal(result.result, mttkrp(data, factors, mode))
+        assert result.words_moved == blocked_io_cost(shape, rank, mode, block)
+
+    @pytest.mark.parametrize(
+        "shape", [(9, 7), (5, 6, 4), (4, 3, 5, 2)], ids=["2-way", "3-way", "4-way"]
+    )
+    def test_every_mode_of_n_way_tensors(self, shape):
+        data, factors = integer_problem(shape, 3, seed=len(shape))
+        for mode in range(len(shape)):
+            for block in (1, 2, 3):
+                result = sequential_blocked_mttkrp(data, factors, mode, block=block)
+                np.testing.assert_array_equal(result.result, mttkrp(data, factors, mode))
+                assert result.words_moved == blocked_io_cost(shape, 3, mode, block)
+
+    @pytest.mark.parametrize(
+        "shape, mode", [((1, 6, 5), 0), ((6, 1, 5), 1), ((6, 1, 5), 0), ((4, 1, 1), 0)]
+    )
+    def test_length_one_modes(self, shape, mode):
+        """Extent-1 modes, in and out of the output position, block correctly."""
+        data, factors = integer_problem(shape, 2, seed=11)
+        result = sequential_blocked_mttkrp(data, factors, mode, block=2)
+        np.testing.assert_array_equal(result.result, mttkrp(data, factors, mode))
+        assert result.words_moved == blocked_io_cost(shape, 2, mode, 2)
+
+    def test_two_way_tensor_is_a_blocked_matmul(self):
+        """N=2: the MTTKRP of a matrix is a matrix product with the other factor."""
+        data, factors = integer_problem((9, 7), 4, seed=5)
+        np.testing.assert_array_equal(
+            sequential_blocked_mttkrp(data, factors, 0, block=3).result, data @ factors[1]
+        )
+        np.testing.assert_array_equal(
+            sequential_blocked_mttkrp(data, factors, 1, block=3).result, data.T @ factors[0]
+        )
+
+    def test_covering_block_is_one_einsum_call(self):
+        """A block covering the tensor is one local MTTKRP: bitwise, one pass."""
+        shape, rank, mode = (8, 7, 6), 5, 2
+        tensor, factors = problem(shape, rank, seed=9)
+        result = sequential_blocked_mttkrp(tensor, factors, mode, block=8)
+        assert result.result.tobytes() == mttkrp(tensor, factors, mode).tobytes()
+        # One block: the tensor once, plus R x (inputs + output load + store).
+        assert result.words_moved == 8 * 7 * 6 + rank * (8 + 7 + 2 * 6)
+
+    @pytest.mark.parametrize("block", [0, -2])
+    def test_nonpositive_block_raises(self, block):
+        tensor, factors = problem((5, 4, 3), 2)
+        with pytest.raises(ParameterError, match="block"):
+            sequential_blocked_mttkrp(tensor, factors, 0, block=block)
 
 
 class TestOptimality:
