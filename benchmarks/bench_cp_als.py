@@ -41,7 +41,12 @@ from repro.parallel.dimtree import (
     predicted_dimtree_ledger,
     predicted_dimtree_sweep_words,
 )
-from repro.sketch.parallel.sampled_dimtree import predicted_sampled_dimtree_ledger
+from repro.parallel.grid_selection import choose_stationary_grid
+from repro.parallel.machine import SimulatedMachine
+from repro.sketch.parallel.sampled_dimtree import (
+    DistributedSampledDimtreeKernel,
+    predicted_sampled_dimtree_ledger,
+)
 from repro.tensor.random import noisy_low_rank_tensor
 
 
@@ -304,22 +309,24 @@ def _fused_row(shape, rank, draws, seed):
 
 def _fused_parallel_row(shape, rank, n_procs, draws, seed):
     tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.02, seed=seed)
-    run = parallel_cp_als(
-        tensor, rank, n_procs, kernel="sampled-dimtree", n_samples=draws,
-        n_iter_max=FRONTIER_SWEEPS, tol=0.0, seed=seed + 1,
+    grid = choose_stationary_grid(shape, rank, n_procs)
+    machine = SimulatedMachine(n_procs)
+    # Built directly rather than by name, so each MTTKRP takes ``draws`` draws.
+    kernel = DistributedSampledDimtreeKernel(
+        grid, machine=machine, n_samples=draws, seed=seed + 1
     )
-    grid = run.grids[0]
+    cp_als(tensor, rank, kernel=kernel, n_iter_max=FRONTIER_SWEEPS, tol=0.0, seed=seed + 1)
     predicted = predicted_sampled_dimtree_ledger(shape, rank, grid, FRONTIER_SWEEPS)
     # the machine ledger meets the collective-replay predictor word for word
-    assert np.array_equal(run.machine.words_sent, predicted)
-    assert np.array_equal(run.machine.words_received, predicted)
+    assert np.array_equal(machine.words_sent, predicted)
+    assert np.array_equal(machine.words_received, predicted)
     return {
         "shape": list(shape),
         "rank": rank,
         "n_procs": n_procs,
         "n_draws": draws,
         "grid": list(grid),
-        "measured_total_words": int(run.total_words),
+        "measured_total_words": int(machine.max_words_communicated),
         "predicted_total_words": int(predicted.max()),
         "dimtree_predicted_total_words": int(
             predicted_dimtree_ledger(shape, rank, grid, FRONTIER_SWEEPS).max()

@@ -34,13 +34,14 @@ model):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.multi_mode import contract_mode_step
-from repro.core.sweep_kernel import SweepKernel
+from repro.core.sweep_kernel import SweepKernel, check_state_kind
 from repro.exceptions import ParameterError
 from repro.observe.instrument import add_cost, inc as observe_inc
 from repro.tensor.dense import as_ndarray
@@ -164,6 +165,25 @@ def _step_cost(
 # distributed kernels' gather caches)
 # ---------------------------------------------------------------------------
 
+def check_invalidation(invalidation: str, residual_tol: float) -> float:
+    """Validate a cache-invalidation policy; return ``residual_tol`` as a float.
+
+    ``invalidation`` is ``"exact"`` or ``"residual"``; ``residual_tol`` must be
+    finite and non-negative (an infinite tolerance would keep every cached
+    partial forever, a NaN one compares false and never keeps any).
+    """
+    if invalidation not in ("exact", "residual"):
+        raise ParameterError(
+            f"invalidation must be 'exact' or 'residual', got {invalidation!r}"
+        )
+    tol = float(residual_tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterError(
+            f"residual_tol must be finite and non-negative, got {residual_tol!r}"
+        )
+    return tol
+
+
 class FactorGate:
     """Per-factor staleness gate: identity detection + optional residual gating.
 
@@ -185,12 +205,8 @@ class FactorGate:
     def __init__(
         self, n_modes: int, *, invalidation: str = "exact", residual_tol: float = 1e-2
     ) -> None:
-        if invalidation not in ("exact", "residual"):
-            raise ParameterError(
-                f"invalidation must be 'exact' or 'residual', got {invalidation!r}"
-            )
+        self.residual_tol = check_invalidation(invalidation, residual_tol)
         self.invalidation = invalidation
-        self.residual_tol = float(residual_tol)
         self.factors: List[Optional[np.ndarray]] = [None] * int(n_modes)
         self.versions: List[int] = [0] * int(n_modes)
         self.drift: List[float] = [0.0] * int(n_modes)
@@ -346,10 +362,6 @@ class DimensionTree:
         self._data = as_ndarray(tensor)
         if self._data.ndim < 2:
             raise ParameterError("DimensionTree requires a tensor with at least 2 modes")
-        if invalidation not in ("exact", "residual"):
-            raise ParameterError(
-                f"invalidation must be 'exact' or 'residual', got {invalidation!r}"
-            )
         self._n = self._data.ndim
         self._split = split if split is not None else split_half
         self._cache_enabled = bool(cache)
@@ -737,6 +749,8 @@ class DimensionTreeKernel(SweepKernel):
         The application is lazy because the gate must be rebound to the
         resumed driver's factor objects — which only arrive with the call.
         """
+        if state is not None:
+            check_state_kind(state, "dimtree")
         self._pending_state = state
 
     def invalidate_caches(self) -> bool:

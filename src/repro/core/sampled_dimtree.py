@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.dimtree import DimensionTree, FactorGate, ModeSplit
-from repro.core.sweep_kernel import SweepKernel
+from repro.core.sweep_kernel import SweepKernel, check_state_kind
 from repro.exceptions import ParameterError
 from repro.observe.instrument import add_cost, annotate, inc as observe_inc
 from repro.tensor.dense import as_ndarray
@@ -494,6 +494,7 @@ class SampledDimtreeKernel(SweepKernel):
         self._pending_state = None
         if state is None:
             return
+        check_state_kind(state, "sampled-dimtree")
         self._rng.bit_generator.state = copy.deepcopy(state["rng"])
         if state["tree"] is None:
             self._apply_counters(state)

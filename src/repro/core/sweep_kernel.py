@@ -19,9 +19,10 @@ The protocol is deliberately tiny:
 
 Existing per-call kernels are adapted with :class:`PerCallKernel` /
 :func:`as_sweep_kernel`, so every kernel the drivers see speaks the same
-protocol.  The module also hosts :func:`check_kernel_name`, the single
-kernel-registry validator shared by :func:`repro.cp.als.cp_als` and
-:func:`repro.cp.parallel_als.parallel_cp_als`.
+protocol.  The module also hosts :func:`check_kernel_name`, the kernel-name
+validator shared by :func:`repro.cp.als.cp_als` and
+:func:`repro.cp.parallel_als.parallel_cp_als`, and :func:`check_state_kind`,
+which every stateful kernel's :meth:`SweepKernel.restore_state` calls.
 """
 
 from __future__ import annotations
@@ -105,14 +106,23 @@ class PerCallKernel(SweepKernel):
     sweep hooks are no-ops.  When the callable owns a
     :class:`numpy.random.Generator` (the sampled kernels), pass it as
     ``rng`` so checkpoint/restore can capture the bit-stream position — the
-    only cross-call state a per-call kernel can have.
+    only cross-call state a per-call kernel can have.  ``kind`` labels the
+    captured state, so a checkpoint of one sampled kernel is not restored
+    into another.
     """
 
-    def __init__(self, fn: MTTKRPCallable, *, rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(
+        self,
+        fn: MTTKRPCallable,
+        *,
+        rng: Optional[np.random.Generator] = None,
+        kind: str = "per-call",
+    ) -> None:
         if not callable(fn):
             raise ParameterError("PerCallKernel requires a callable MTTKRP kernel")
         self.fn = fn
         self.rng = rng
+        self.kind = kind
 
     def mttkrp(
         self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
@@ -122,11 +132,12 @@ class PerCallKernel(SweepKernel):
     def capture_state(self) -> Optional[dict]:
         if self.rng is None:
             return None
-        return {"kind": "per-call", "rng": copy.deepcopy(self.rng.bit_generator.state)}
+        return {"kind": self.kind, "rng": copy.deepcopy(self.rng.bit_generator.state)}
 
     def restore_state(self, state: Optional[dict]) -> None:
         if state is None:
             return
+        check_state_kind(state, self.kind)
         if self.rng is None:
             raise ParameterError(
                 "cannot restore an RNG state into a PerCallKernel built without rng"
@@ -147,40 +158,24 @@ def as_sweep_kernel(kernel) -> SweepKernel:
     raise ParameterError(f"not an MTTKRP kernel: {kernel!r}")
 
 
-def check_kernel_name(
-    kernel,
-    names: Sequence[str],
-    *,
-    registry: str = "",
-    allow_callable: bool = True,
-) -> str:
-    """Validate a kernel *name* against a registry — the one shared helper.
+def check_kernel_name(kernel, names: Sequence[str]) -> str:
+    """Return ``kernel`` if it is one of ``names``; else raise, listing them.
 
-    Both ALS drivers (:data:`repro.cp.als.KERNEL_NAMES` and
-    :data:`repro.cp.parallel_als.PARALLEL_KERNEL_NAMES`) route their name
-    validation through here so unknown-kernel errors are worded identically.
-
-    Parameters
-    ----------
-    kernel:
-        The candidate name (anything hashable; non-names fail the lookup).
-    names:
-        The registry of resolvable names.
-    registry:
-        Optional qualifier for the message (e.g. ``"parallel"``).
-    allow_callable:
-        Whether the owning driver also accepts callables (mentioned in the
-        error message only).
-
-    Returns
-    -------
-    str
-        ``kernel`` itself when it is a registered name.
+    Both ALS drivers validate names here (against
+    :data:`repro.cp.als.KERNEL_NAMES` / :data:`repro.cp.als.PARALLEL_KERNEL_NAMES`),
+    so an unknown name is reported with the same wording by either.
     """
     if kernel in names:
         return kernel
-    label = f"{registry} MTTKRP kernel" if registry else "MTTKRP kernel"
-    suffix = " or a callable" if allow_callable else ""
     raise ParameterError(
-        f"unknown {label} {kernel!r}; use one of {', '.join(sorted(names))}{suffix}"
+        f"unknown MTTKRP kernel {kernel!r}; use one of {', '.join(sorted(names))}"
     )
+
+
+def check_state_kind(state: dict, kind: str) -> None:
+    """Reject a checkpoint captured by a different kind of kernel."""
+    if state.get("kind") != kind:
+        raise ParameterError(
+            f"cannot restore a {state.get('kind')!r} kernel checkpoint into a "
+            f"{kind!r} kernel"
+        )

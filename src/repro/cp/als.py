@@ -8,7 +8,10 @@ the free one via the normal equations:
 
 The MTTKRP dominates the cost; which kernel evaluates it is selectable so the
 same driver exercises the vectorised kernel, the matmul baseline, or a
-user-supplied (e.g. counted) kernel.
+user-supplied (e.g. counted) kernel.  :data:`KERNELS` is the one table of
+named kernels: each entry builds the kernel :func:`cp_als` runs and, where
+one exists, the distributed kernel
+:func:`repro.cp.parallel_als.parallel_cp_als` runs.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.dimtree import DimensionTreeKernel
+from repro.core.dimtree import DimensionTreeKernel, check_invalidation
 from repro.core.kernels import mttkrp
 from repro.core.matmul_baseline import mttkrp_via_matmul
 from repro.core.sweep_kernel import (
@@ -33,6 +36,9 @@ from repro.cp.initialization import initialize_factors
 from repro.exceptions import ConvergenceWarning, FaultError, ParameterError
 from repro.observe.instrument import inc as observe_inc
 from repro.observe.tracer import trace
+from repro.parallel.dimtree import DistributedDimtreeKernel
+from repro.parallel.general import general_mttkrp
+from repro.parallel.stationary import stationary_mttkrp
 from repro.resilience.checkpoint import CheckpointState, CheckpointStore
 from repro.tensor.dense import as_ndarray
 from repro.tensor.kruskal import KruskalTensor
@@ -40,26 +46,6 @@ from repro.utils.validation import check_factor_matrices, check_positive_int, ch
 
 #: Signature of a pluggable MTTKRP kernel: (tensor, factors, mode) -> (I_mode, R) array.
 MTTKRPKernel = Callable[[np.ndarray, Sequence[Optional[np.ndarray]], int], np.ndarray]
-
-_KERNELS = {
-    "einsum": mttkrp,
-    "matmul": lambda tensor, factors, mode: mttkrp_via_matmul(tensor, factors, mode),
-}
-
-#: Kernel names resolvable by :func:`cp_als` (``"sampled"``, ``"sampled-tree"``
-#: and ``"sampled-dimtree"`` are registered lazily — see
-#: :func:`_resolve_kernel`; ``"dimtree"`` is the sweep-aware dimension-tree
-#: engine of :mod:`repro.core.dimtree`, ``"sampled-dimtree"`` the fused
-#: sampled engine of :mod:`repro.core.sampled_dimtree` that serves leverage
-#: draws from the tree's cached partial contractions).
-KERNEL_NAMES = (
-    "einsum",
-    "matmul",
-    "dimtree",
-    "sampled",
-    "sampled-tree",
-    "sampled-dimtree",
-)
 
 #: Graceful-degradation policies for a poisoned (non-finite) MTTKRP output.
 FAULT_POLICIES = ("raise", "retry", "degrade")
@@ -178,52 +164,134 @@ def _kernel_seed(
     return np.random.SeedSequence(seed).spawn(1)[0]
 
 
-def _resolve_kernel(
-    kernel: Union[str, MTTKRPKernel, SweepKernel],
-    seed: Union[None, int, np.random.Generator] = None,
-    invalidation: str = "exact",
-    invalidation_tol: float = 1e-2,
-) -> SweepKernel:
-    if isinstance(kernel, SweepKernel) or callable(kernel):
-        return as_sweep_kernel(kernel)
-    check_kernel_name(kernel, KERNEL_NAMES)
-    if kernel == "dimtree":
-        # A fresh engine per run: the tree binds to the run's tensor on the
-        # first call and caches partial contractions across the whole run.
-        return DimensionTreeKernel(
-            invalidation=invalidation, residual_tol=invalidation_tol
-        )
-    if kernel == "sampled-dimtree":
-        # The fused engine: leverage draws served from the dimension tree's
-        # cached partial contractions (lazy import for the same layering
-        # reason as the plain sampled kernels below).
-        from repro.core.sampled_dimtree import SampledDimtreeKernel
+@dataclass(frozen=True)
+class KernelSpec:
+    """How the two ALS drivers build one named MTTKRP kernel.
 
-        return SampledDimtreeKernel(
-            seed=_kernel_seed(seed),
-            invalidation=invalidation,
-            residual_tol=invalidation_tol,
-        )
-    if kernel == "einsum":
-        # Looked up at call time, not bound at import, so wrappers installed
-        # on this module's ``mttkrp`` see every call.
-        return PerCallKernel(lambda tensor, factors, mode: mttkrp(tensor, factors, mode))
-    if kernel in ("sampled", "sampled-tree"):
-        # Imported lazily: repro.sketch layers on this driver, so a module-level
-        # import would be circular.  A fresh kernel is built per run so that an
-        # explicit seed makes the whole ALS run reproducible; it resamples on
-        # every call — "sampled" from the product-of-factor-leverage
-        # distribution, "sampled-tree" from the exact Khatri-Rao leverage
-        # distribution via the segment-tree sampler (both never materialize a
-        # length-J vector).
+    ``sequential(seed, invalidation, tol)`` builds the :func:`cp_als` kernel;
+    ``distributed(grid, machine, algorithm, seed, invalidation, tol, threads)``
+    builds the :func:`~repro.cp.parallel_als.parallel_cp_als` kernel
+    (``None``: the kernel has no distributed form).  ``seed`` is the
+    kernel's own stream (:func:`_kernel_seed`), so the draws are not the bits
+    the initialisation consumes.  A ``stationary_only`` kernel runs on
+    Algorithm 3's stationary distribution only, never Algorithm 4's.
+    """
+
+    sequential: Callable[..., SweepKernel]
+    distributed: Optional[Callable[..., SweepKernel]] = None
+    stationary_only: bool = True
+
+
+def _einsum(seed, invalidation, tol) -> SweepKernel:
+    # Looked up at call time, not bound at import, so wrappers installed on
+    # this module's ``mttkrp`` see every call.
+    return PerCallKernel(lambda tensor, factors, mode: mttkrp(tensor, factors, mode))
+
+
+def _einsum_distributed(
+    grid, machine, algorithm, seed, invalidation, tol, threads
+) -> SweepKernel:
+    algorithm_mttkrp = stationary_mttkrp if algorithm == "stationary" else general_mttkrp
+
+    def kernel(local_tensor, factors, mode):
+        return algorithm_mttkrp(
+            local_tensor, factors, mode, grid, machine=machine, threads=threads
+        ).assemble()
+
+    return PerCallKernel(kernel)
+
+
+def _matmul(seed, invalidation, tol) -> SweepKernel:
+    return PerCallKernel(mttkrp_via_matmul)
+
+
+def _dimtree(seed, invalidation, tol) -> SweepKernel:
+    # A fresh engine per run: the tree binds to the run's tensor on the first
+    # call and caches partial contractions across the whole run.
+    return DimensionTreeKernel(invalidation=invalidation, residual_tol=tol)
+
+
+def _dimtree_distributed(
+    grid, machine, algorithm, seed, invalidation, tol, threads
+) -> SweepKernel:
+    return DistributedDimtreeKernel(
+        grid, machine=machine, invalidation=invalidation, residual_tol=tol
+    )
+
+
+def _sampled(name: str, distribution: str) -> KernelSpec:
+    """A per-call sampled kernel that resamples on every call from ``distribution``.
+
+    The sketch subsystem is imported lazily: it layers on this driver, so a
+    module-level import would be circular.  The kernel's generator is its
+    only cross-call state; the adapter holds it so checkpoints capture the
+    bit-stream position.
+    """
+
+    def sequential(seed, invalidation, tol) -> SweepKernel:
         from repro.sketch.sampled_mttkrp import make_sampled_kernel
 
-        distribution = "tree-leverage" if kernel == "sampled-tree" else "product-leverage"
-        fn = make_sampled_kernel(seed=_kernel_seed(seed), distribution=distribution)
-        # Hand the closure's generator to the adapter so checkpoint/restore
-        # can capture the bit-stream position (the closure's only state).
-        return PerCallKernel(fn, rng=fn.rng)
-    return PerCallKernel(_KERNELS[kernel])
+        fn = make_sampled_kernel(seed=seed, distribution=distribution)
+        return PerCallKernel(fn, rng=fn.rng, kind=name)
+
+    def distributed(grid, machine, algorithm, seed, invalidation, tol, threads) -> SweepKernel:
+        from repro.sketch.parallel.sampled_mttkrp import parallel_sampled_mttkrp
+        from repro.sketch.sampling import _as_generator
+
+        rng = _as_generator(seed)
+
+        def kernel(local_tensor, factors, mode):
+            return parallel_sampled_mttkrp(
+                local_tensor, factors, mode, grid,
+                distribution=distribution, seed=rng, machine=machine,
+            ).assemble()
+
+        return PerCallKernel(kernel, rng=rng, kind=f"parallel-{name}")
+
+    return KernelSpec(sequential, distributed)
+
+
+def _sampled_dimtree(seed, invalidation, tol) -> SweepKernel:
+    # Leverage draws served from the dimension tree's cached partials.
+    from repro.core.sampled_dimtree import SampledDimtreeKernel
+
+    return SampledDimtreeKernel(seed=seed, invalidation=invalidation, residual_tol=tol)
+
+
+def _sampled_dimtree_distributed(
+    grid, machine, algorithm, seed, invalidation, tol, threads
+) -> SweepKernel:
+    from repro.sketch.parallel.sampled_dimtree import DistributedSampledDimtreeKernel
+
+    return DistributedSampledDimtreeKernel(
+        grid, machine=machine, seed=seed, invalidation=invalidation, residual_tol=tol
+    )
+
+
+#: The named MTTKRP kernels of both ALS drivers.  ``"einsum"`` is the exact
+#: vectorised kernel (Algorithm 3/4 when distributed), ``"matmul"`` the
+#: explicit-Khatri-Rao baseline, ``"dimtree"`` the dimension tree that caches
+#: partial contractions across a sweep, ``"sampled"`` / ``"sampled-tree"``
+#: the per-call sampled kernels drawing from the product-of-factor-leverage
+#: and the exact Khatri-Rao leverage distribution (the segment-tree sampler of
+#: Bharadwaj et al., arXiv 2301.12584), and ``"sampled-dimtree"`` the fused
+#: kernel drawing exact leverage samples from the tree's cached partials.
+#: Each name fixes its distribution and draw count in both drivers.
+KERNELS: Dict[str, KernelSpec] = {
+    "einsum": KernelSpec(_einsum, _einsum_distributed, stationary_only=False),
+    "matmul": KernelSpec(_matmul),
+    "dimtree": KernelSpec(_dimtree, _dimtree_distributed),
+    "sampled": _sampled("sampled", "product-leverage"),
+    "sampled-tree": _sampled("sampled-tree", "tree-leverage"),
+    "sampled-dimtree": KernelSpec(_sampled_dimtree, _sampled_dimtree_distributed),
+}
+
+#: Kernel names :func:`cp_als` resolves.
+KERNEL_NAMES = tuple(KERNELS)
+#: Kernel names :func:`~repro.cp.parallel_als.parallel_cp_als` resolves.
+PARALLEL_KERNEL_NAMES = tuple(
+    name for name, spec in KERNELS.items() if spec.distributed is not None
+)
 
 
 def cp_als(
@@ -261,10 +329,10 @@ def cp_als(
     seed:
         Seed for random initialisation.
     kernel:
-        Which MTTKRP kernel to use: a name from :data:`KERNEL_NAMES`
-        (``"dimtree"`` caches partial contractions across the sweep via
-        :class:`~repro.core.dimtree.DimensionTreeKernel`), a per-call
-        callable, or a :class:`~repro.core.sweep_kernel.SweepKernel`
+        Which MTTKRP kernel to use: a name from :data:`KERNEL_NAMES`, built
+        by the sequential factory of its :data:`KERNELS` entry (each name
+        fixes its kernel's sampling distribution and draw count), a
+        per-call callable, or a :class:`~repro.core.sweep_kernel.SweepKernel`
         instance (the driver announces sweep starts and factor updates to
         sweep-aware kernels).
     invalidation, invalidation_tol:
@@ -273,8 +341,9 @@ def cp_als(
         invalidates dependent cached partials on every factor replacement;
         ``"residual"`` keeps them while the factor's accumulated relative
         drift stays within ``invalidation_tol`` (see
-        :class:`~repro.core.dimtree.FactorGate`).  Ignored by the per-call
-        kernels and by explicitly constructed kernel instances.
+        :class:`~repro.core.dimtree.FactorGate`).  Both are validated for
+        every kernel (``invalidation_tol`` finite and non-negative), but
+        only the dimension-tree kernels built from a name read them.
     warn_on_nonconvergence:
         Emit a :class:`~repro.exceptions.ConvergenceWarning` when the loop
         exhausts ``n_iter_max`` without meeting ``tol``.
@@ -313,7 +382,12 @@ def cp_als(
     if math.isnan(tol):
         raise ParameterError("tol must not be NaN")
     _check_finite("tensor", data)
-    sweep_kernel = _resolve_kernel(kernel, seed, invalidation, invalidation_tol)
+    check_invalidation(invalidation, invalidation_tol)
+    if callable(kernel):
+        sweep_kernel = as_sweep_kernel(kernel)
+    else:
+        spec = KERNELS[check_kernel_name(kernel, KERNEL_NAMES)]
+        sweep_kernel = spec.sequential(_kernel_seed(seed), invalidation, invalidation_tol)
 
     if isinstance(init, str):
         factors = initialize_factors(data, rank, method=init, seed=seed)

@@ -16,37 +16,23 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.sweep_kernel import PerCallKernel, SweepKernel, check_kernel_name
-from repro.cp.als import cp_als, CPALSResult
+from repro.backend.parallel import resolve_threads
+from repro.core.dimtree import check_invalidation
+from repro.core.sweep_kernel import SweepKernel, check_kernel_name, check_state_kind
+from repro.cp.als import (
+    KERNELS,
+    PARALLEL_KERNEL_NAMES,
+    CPALSResult,
+    _kernel_seed,
+    cp_als,
+)
 from repro.exceptions import DistributionError, ParameterError
 from repro.observe.tracer import trace
-from repro.parallel.dimtree import DistributedDimtreeKernel
-from repro.parallel.general import general_mttkrp
 from repro.parallel.grid_selection import choose_general_grid, choose_stationary_grid
 from repro.parallel.machine import SimulatedMachine
-from repro.parallel.stationary import stationary_mttkrp
 from repro.resilience.checkpoint import CheckpointState, CheckpointStore
 from repro.tensor.dense import as_ndarray
 from repro.utils.validation import check_positive_int, check_rank
-
-#: MTTKRP kernels resolvable by :func:`parallel_cp_als`, mirroring the
-#: sequential registry (:data:`repro.cp.als.KERNEL_NAMES`): ``"exact"`` runs
-#: Algorithm 3/4, ``"dimtree"`` the sweep-aware distributed dimension-tree
-#: kernel of :mod:`repro.parallel.dimtree` (gathers each factor once per
-#: update instead of once per mode, local trees reuse partial contractions),
-#: ``"sampled"`` the distributed sampled kernel of
-#: :mod:`repro.sketch.parallel` with a caller-chosen distribution,
-#: ``"sampled-tree"`` the same kernel pinned to the segment-tree exact
-#: leverage sampler (``distribution="tree-leverage"``, Gram-All-Reduce-only
-#: setup), and ``"sampled-dimtree"`` the fused kernel of
-#: :mod:`repro.sketch.parallel.sampled_dimtree` (cached per-update factor
-#: All-Gathers plus a per-update Gram All-Reduce only; draws bitwise equal
-#: to the sequential fused kernel).  The sketch subsystem is imported lazily
-#: — it layers on this driver, so a module-level import would be circular.
-#: Name validation is shared with the sequential registry via
-#: :func:`repro.core.sweep_kernel.check_kernel_name`.
-PARALLEL_KERNEL_NAMES = ("exact", "dimtree", "sampled", "sampled-tree", "sampled-dimtree")
-
 
 class _SweepWordCounter(SweepKernel):
     """Forward the sweep protocol to the inner kernel; record per-sweep words."""
@@ -91,6 +77,7 @@ class _SweepWordCounter(SweepKernel):
     def restore_state(self, state: Optional[dict]) -> None:
         if state is None:
             return
+        check_state_kind(state, "sweep-word-counter")
         self._calls = int(state["calls"])
         # Per-sweep deltas of the resumed run are measured from the resumed
         # machine's current ledger, whatever it already accumulated.
@@ -137,9 +124,7 @@ def parallel_cp_als(
     n_procs: int,
     *,
     algorithm: str = "stationary",
-    kernel: str = "exact",
-    n_samples: Optional[int] = None,
-    sample_distribution: str = "product-leverage",
+    kernel: str = "einsum",
     n_iter_max: int = 20,
     tol: float = 1e-7,
     seed: Union[None, int, np.random.Generator] = 0,
@@ -166,24 +151,13 @@ def parallel_cp_als(
     algorithm:
         ``"stationary"`` (Algorithm 3) or ``"general"`` (Algorithm 4).
     kernel:
-        ``"exact"`` (the selected algorithm), ``"dimtree"`` (the sweep-aware
-        distributed dimension-tree kernel — each factor is All-Gathered once
-        per update instead of once per mode and the local MTTKRPs reuse
-        cached partial contractions; requires ``algorithm="stationary"``),
-        ``"sampled"``, or ``"sampled-tree"`` — the distributed sampled MTTKRP
-        of :mod:`repro.sketch.parallel`, resampled on every invocation
-        (requires ``algorithm="stationary"``; ``"sampled-tree"`` pins
-        ``sample_distribution="tree-leverage"``), or ``"sampled-dimtree"``
-        — the fused kernel of :mod:`repro.sketch.parallel.sampled_dimtree`
-        sampling each rank's cached dimension-tree partials (also
-        stationary-only; see
-        :func:`repro.sketch.parallel.parallel_randomized_cp_als` for the full
-        randomized driver with an exact-solve fallback).
-    n_samples, sample_distribution:
-        Draw count and sampling distribution for the sampled kernels
-        (defaults mirror the sequential registry entry;
-        ``sample_distribution`` is pinned to ``"tree-leverage"`` by the
-        tree-backed kernels ``"sampled-tree"`` and ``"sampled-dimtree"``).
+        A name from :data:`~repro.cp.als.PARALLEL_KERNEL_NAMES`, built by the
+        distributed factory of its :data:`~repro.cp.als.KERNELS` entry (the
+        table describes each kernel).  ``"einsum"`` runs the selected
+        algorithm; every other kernel requires ``algorithm="stationary"``.
+        Each name fixes its sampling distribution and draw count, as in
+        :func:`~repro.cp.als.cp_als`; for a caller-chosen draw count use
+        :func:`repro.sketch.parallel.parallel_randomized_cp_als`.
     n_iter_max, tol, seed, init:
         Passed to the ALS driver.
     invalidation, invalidation_tol:
@@ -193,11 +167,11 @@ def parallel_cp_als(
         All-Reduces, and cached partials on the factor's accumulated
         relative drift instead of invalidating on every replacement.
     threads:
-        Thread count for the ``"exact"`` kernel's per-rank local MTTKRPs
+        Thread count for the ``"einsum"`` kernel's per-rank local MTTKRPs
         (``None`` consults ``REPRO_THREADS``, default 1); simulated ranks
         run as independent tasks, so fits, factors, and counted
-        communication are bitwise identical for every value.  The other
-        kernels ignore it.
+        communication are bitwise identical for every value.  Validated
+        for every kernel; the other kernels ignore it.
     machine:
         A pre-existing :class:`SimulatedMachine` (or
         :class:`~repro.resilience.machine.FaultyMachine`) to accumulate the
@@ -225,19 +199,13 @@ def parallel_cp_als(
     n_procs = check_positive_int(n_procs, "n_procs")
     if algorithm not in ("stationary", "general"):
         raise ParameterError("algorithm must be 'stationary' or 'general'")
-    check_kernel_name(kernel, PARALLEL_KERNEL_NAMES, registry="parallel", allow_callable=False)
-    sampled = kernel in ("sampled", "sampled-tree")
-    fused = kernel == "sampled-dimtree"
-    if kernel != "exact" and algorithm != "stationary":
+    spec = KERNELS[check_kernel_name(kernel, PARALLEL_KERNEL_NAMES)]
+    if spec.stationary_only and algorithm != "stationary":
         raise ParameterError(
             f"kernel={kernel!r} runs on the stationary distribution; use algorithm='stationary'"
         )
-    if kernel in ("sampled-tree", "sampled-dimtree"):
-        # Both tree-backed kernels pin the draw distribution: exact leverage
-        # via cached segment trees, matching the sequential registry entry
-        # (construct DistributedSampledDimtreeKernel directly for the other
-        # fused distributions).
-        sample_distribution = "tree-leverage"
+    check_invalidation(invalidation, invalidation_tol)
+    threads = resolve_threads(threads)
 
     if machine is not None and fault_schedule is not None:
         raise ParameterError(
@@ -263,82 +231,10 @@ def parallel_cp_als(
         grid = choose_general_grid(data.shape, rank, n_procs)
     grids.append(grid)
 
-    sampled_mttkrp_parallel = None
-    sample_rng: Union[None, np.random.SeedSequence, np.random.Generator] = None
-    if sampled or fused:
-        if sampled:
-            from repro.sketch.parallel.sampled_mttkrp import parallel_sampled_mttkrp
-
-            sampled_mttkrp_parallel = parallel_sampled_mttkrp
-        if isinstance(seed, np.random.Generator):
-            sample_rng = seed
-        elif seed is None:
-            sample_rng = np.random.default_rng()
-        else:
-            # Mirror the sequential registry: spawn an independent stream so
-            # the kernel's draws are not the bit stream the initialisation
-            # consumes.
-            sample_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-
     words_per_iteration: List[int] = []
-
-    inner: SweepKernel
-    if kernel == "dimtree":
-        inner = DistributedDimtreeKernel(
-            grid,
-            machine=machine,
-            invalidation=invalidation,
-            residual_tol=invalidation_tol,
-        )
-    elif fused:
-        # Lazy import, like the sampled kernels: the fused distributed kernel
-        # lives in the sketch subsystem, which layers on this driver.
-        from repro.sketch.parallel.sampled_dimtree import (
-            DistributedSampledDimtreeKernel,
-        )
-
-        inner = DistributedSampledDimtreeKernel(
-            grid,
-            machine=machine,
-            n_samples=n_samples,
-            distribution=sample_distribution,
-            seed=sample_rng,
-            invalidation=invalidation,
-            residual_tol=invalidation_tol,
-        )
-    elif sampled:
-
-        def sampled_kernel(local_tensor, factors, mode):
-            return sampled_mttkrp_parallel(
-                local_tensor,
-                factors,
-                mode,
-                grid,
-                n_samples=n_samples,
-                distribution=sample_distribution,
-                seed=sample_rng,
-                machine=machine,
-            ).assemble()
-
-        # The shared draw generator is the closure's only cross-call state;
-        # hand it to the adapter so checkpoints capture the stream position.
-        inner = PerCallKernel(sampled_kernel, rng=sample_rng)
-    else:
-
-        def exact_kernel(local_tensor, factors, mode):
-            if algorithm == "stationary":
-                result = stationary_mttkrp(
-                    local_tensor, factors, mode, grid,
-                    machine=machine, threads=threads,
-                )
-            else:
-                result = general_mttkrp(
-                    local_tensor, factors, mode, grid,
-                    machine=machine, threads=threads,
-                )
-            return result.assemble()
-
-        inner = PerCallKernel(exact_kernel)
+    inner = spec.distributed(
+        grid, machine, algorithm, _kernel_seed(seed), invalidation, invalidation_tol, threads
+    )
 
     with trace(
         "parallel-als",

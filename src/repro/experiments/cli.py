@@ -94,7 +94,7 @@ def _run_fault_sweep(quick: bool) -> str:
             shape=(6, 6, 4),
             rank=2,
             n_sweeps=3,
-            kernels=("exact", "dimtree"),
+            kernels=("einsum", "dimtree"),
             fault_counts=(0, 3),
         )
     else:

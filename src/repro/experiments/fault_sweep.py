@@ -41,7 +41,7 @@ DEFAULT_N_PROCS = 4
 DEFAULT_N_SWEEPS = 4
 #: Kernels swept (one per communication pattern: per-mode gathers, cached
 #: gathers + trees, cached gathers + Gram All-Reduce + replicated draws).
-DEFAULT_KERNELS = ("exact", "dimtree", "sampled-dimtree")
+DEFAULT_KERNELS = ("einsum", "dimtree", "sampled-dimtree")
 #: The fault-density axis: scheduled faults per run (0 = the control row).
 DEFAULT_FAULT_COUNTS = (0, 2, 4, 8)
 

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.dimtree import DimensionTree, FactorGate, ModeSplit
-from repro.core.sweep_kernel import SweepKernel
+from repro.core.sweep_kernel import SweepKernel, check_state_kind
 from repro.exceptions import DistributionError
 from repro.parallel.collectives import all_gather, reduce_scatter
 from repro.parallel.distribution import (
@@ -56,8 +56,8 @@ REDUCE_LABEL = "dimtree reduce_scatter"
 class DistributedDimtreeKernel(SweepKernel):
     """Sweep-aware distributed MTTKRP with cached gathers and per-rank trees.
 
-    Registered in :data:`repro.cp.parallel_als.PARALLEL_KERNEL_NAMES` as
-    ``"dimtree"`` (stationary distribution only — the tensor stays put, as in
+    The distributed half of the ``"dimtree"`` entry of
+    :data:`repro.cp.als.KERNELS` (stationary distribution only — the tensor stays put, as in
     Algorithm 3).
 
     Parameters
@@ -128,6 +128,8 @@ class DistributedDimtreeKernel(SweepKernel):
 
     def restore_state(self, state: Optional[dict]) -> None:
         """Stash a snapshot; applied inside the next :meth:`mttkrp` call."""
+        if state is not None:
+            check_state_kind(state, "parallel-dimtree")
         self._pending_state = state
 
     def invalidate_caches(self) -> bool:

@@ -10,7 +10,7 @@ backoff, charging the wasted traffic to dedicated retry ledgers the drift
 detector (:func:`repro.observe.retry_ledger_drift`) reconciles exactly; and
 :mod:`repro.resilience.checkpoint` captures/restores full ALS state so a run
 killed at sweep *k* resumes bitwise identical to the uninterrupted run for
-every kernel in both registries.
+every named kernel in both drivers.
 """
 
 from repro.resilience.checkpoint import CheckpointState, CheckpointStore

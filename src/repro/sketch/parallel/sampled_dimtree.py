@@ -48,7 +48,7 @@ from repro.core.dimtree import (
     split_half,
 )
 from repro.core.sampled_dimtree import FusedSamplerCache, fused_estimator_gemm
-from repro.core.sweep_kernel import SweepKernel
+from repro.core.sweep_kernel import SweepKernel, check_state_kind
 from repro.exceptions import DistributionError
 from repro.parallel.collectives import all_gather, all_reduce, reduce_scatter
 from repro.parallel.distribution import (
@@ -73,8 +73,9 @@ REDUCE_LABEL = "sampled-dimtree reduce_scatter"
 class DistributedSampledDimtreeKernel(SweepKernel):
     """Sweep-aware distributed fused sampled MTTKRP (``"sampled-dimtree"``).
 
-    Registered in :data:`repro.cp.parallel_als.PARALLEL_KERNEL_NAMES`
-    (stationary distribution only, like the exact dimtree kernel).
+    The distributed half of the ``"sampled-dimtree"`` entry of
+    :data:`repro.cp.als.KERNELS` (stationary distribution only, like the
+    exact dimtree kernel).
 
     Parameters
     ----------
@@ -162,6 +163,7 @@ class DistributedSampledDimtreeKernel(SweepKernel):
         self._pending_state = None
         if state is None:
             return
+        check_state_kind(state, "parallel-sampled-dimtree")
         self._rng.bit_generator.state = copy.deepcopy(state["rng"])
         if state["gate"] is not None:
             self._pending_state = state

@@ -74,6 +74,18 @@ class TestFactorGate:
         with pytest.raises(ParameterError):
             DimensionTree(np.ones((2, 2)), invalidation="lazy")
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+    def test_rejects_non_finite_or_negative_tolerance(self, tol):
+        with pytest.raises(ParameterError, match="residual_tol"):
+            FactorGate(2, invalidation="residual", residual_tol=tol)
+
+    def test_zero_tolerance_keeps_only_unmoved_factors(self):
+        gate = FactorGate(1, invalidation="residual", residual_tol=0)
+        a = np.ones((3, 2))
+        gate.register(0, a)
+        assert not gate.register(0, a.copy())
+        assert gate.register(0, a + 1e-12)
+
     def test_force_invalidates_same_object(self):
         gate = FactorGate(1)
         a = np.ones((3, 2))

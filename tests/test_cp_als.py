@@ -108,6 +108,26 @@ class TestCPALSOptions:
         with pytest.raises(ParameterError, match=name):
             cp_als(random_tensor((4, 4, 4), seed=0), 2, seed=1, **options)
 
+    @pytest.mark.parametrize("kernel", ["dimtree", "sampled-dimtree"])
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+    def test_invalid_invalidation_tol_rejected(self, kernel, tol):
+        """An infinite tolerance would keep stale partials forever (the fit
+        diverges); NaN and negative ones are meaningless."""
+        with pytest.raises(ParameterError, match="residual_tol"):
+            cp_als(random_tensor((4, 4, 4), seed=0), 2, kernel=kernel,
+                   invalidation="residual", invalidation_tol=tol)
+
+    @pytest.mark.parametrize("kernel", ["dimtree", "sampled-dimtree"])
+    def test_zero_invalidation_tol_accepted(self, kernel):
+        result = cp_als(random_tensor((4, 4, 4), seed=0), 2, kernel=kernel, seed=1,
+                        n_iter_max=2, tol=0.0, invalidation="residual", invalidation_tol=0)
+        assert np.all(np.isfinite(result.fits))
+
+    def test_unknown_invalidation_rejected_for_every_kernel(self):
+        with pytest.raises(ParameterError, match="invalidation"):
+            cp_als(random_tensor((4, 4, 4), seed=0), 2, kernel="einsum",
+                   invalidation="bogus")
+
     @pytest.mark.parametrize("n_iter_max", [0, 3.0])
     def test_integral_n_iter_max_accepted(self, n_iter_max):
         result = cp_als(random_tensor((4, 4, 4), seed=0), 2, n_iter_max=n_iter_max, tol=0.0)

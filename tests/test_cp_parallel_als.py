@@ -70,6 +70,32 @@ class TestParallelCPALS:
         with pytest.raises(ParameterError):
             parallel_cp_als(tensor, 2, n_procs=4, seed=1, **options)
 
+    @pytest.mark.parametrize("kernel", ["dimtree", "sampled-dimtree"])
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+    def test_invalid_invalidation_tol_rejected(self, tensor, kernel, tol):
+        with pytest.raises(ParameterError, match="residual_tol"):
+            parallel_cp_als(tensor, 2, n_procs=4, kernel=kernel,
+                            invalidation="residual", invalidation_tol=tol)
+
+    @pytest.mark.parametrize("kernel", ["dimtree", "sampled-dimtree"])
+    def test_zero_invalidation_tol_accepted(self, tensor, kernel):
+        result = parallel_cp_als(tensor, 2, n_procs=4, kernel=kernel, seed=1, n_iter_max=2,
+                                 tol=0.0, invalidation="residual", invalidation_tol=0)
+        assert np.all(np.isfinite(result.als.fits))
+
+    def test_unknown_invalidation_rejected_for_every_kernel(self, tensor):
+        with pytest.raises(ParameterError, match="invalidation"):
+            parallel_cp_als(tensor, 2, n_procs=4, invalidation="bogus")
+
+    def test_threads_validated_for_every_kernel(self, tensor):
+        with pytest.raises(ParameterError, match="threads"):
+            parallel_cp_als(tensor, 2, n_procs=4, kernel="dimtree", threads=-3)
+
+    def test_retired_exact_kernel_name_rejected(self, tensor):
+        """Algorithm 3/4 is the ``"einsum"`` kernel; the old name has no alias."""
+        with pytest.raises(ParameterError, match="unknown MTTKRP kernel 'exact'"):
+            parallel_cp_als(tensor, 2, n_procs=4, kernel="exact")
+
     def test_invalid_algorithm(self, tensor):
         with pytest.raises(ParameterError):
             parallel_cp_als(tensor, 2, n_procs=4, algorithm="hybrid")

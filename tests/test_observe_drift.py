@@ -148,7 +148,6 @@ class TestParallelDrift:
                 RANK,
                 4,
                 kernel=kernel,
-                n_samples=32,
                 n_iter_max=SWEEPS,
                 tol=0.0,
                 seed=1,

@@ -99,7 +99,6 @@ class TestParallelIdentity:
                 RANK,
                 4,
                 kernel="sampled-dimtree",
-                n_samples=32,
                 n_iter_max=SWEEPS,
                 tol=0.0,
                 seed=1,

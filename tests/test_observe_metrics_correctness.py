@@ -140,7 +140,6 @@ class TestLabeledCollectiveAudit:
                 RANK,
                 4,
                 kernel=kernel,
-                n_samples=16,
                 n_iter_max=2,
                 tol=0.0,
                 seed=1,

@@ -70,7 +70,7 @@ class TestParallelALSDimtree:
             parallel_cp_als(tensor, 3, 8, kernel="dimtree", algorithm="general")
 
     def test_unknown_kernel_message_unified(self, tensor):
-        with pytest.raises(ParameterError, match="unknown parallel MTTKRP kernel"):
+        with pytest.raises(ParameterError, match="unknown MTTKRP kernel 'gpu'"):
             parallel_cp_als(tensor, 3, 8, kernel="gpu")
 
     def test_ledger_matches_predictor_word_for_word(self, tensor):

@@ -234,3 +234,42 @@ def test_resume_past_the_horizon_returns_checkpoint_state():
     )
     assert resumed.fits == full.fits
     assert resumed.n_iterations == full.n_iterations
+
+
+#: Kernels whose checkpoints carry state (the per-call einsum/matmul carry none).
+STATEFUL = ("dimtree", "sampled", "sampled-tree", "sampled-dimtree")
+OTHER_KERNEL_PAIRS = [
+    pytest.param(a, b, id=f"{a}-into-{b}") for a in STATEFUL for b in STATEFUL if a != b
+]
+
+
+@pytest.mark.parametrize("saved, resumed", OTHER_KERNEL_PAIRS)
+def test_sequential_resume_rejects_another_kernels_checkpoint(saved, resumed):
+    tensor = _tensor(5)
+    store = CheckpointStore()
+    cp_als(tensor, RANK, n_iter_max=1, tol=0.0, seed=5, kernel=saved, checkpoint_store=store)
+    with pytest.raises(ParameterError, match=f"'{saved}' kernel checkpoint into a '{resumed}'"):
+        cp_als(tensor, RANK, n_iter_max=2, tol=0.0, seed=5, kernel=resumed,
+               resume_from=store.latest())
+
+
+@pytest.mark.parametrize("saved, resumed", OTHER_KERNEL_PAIRS)
+def test_parallel_resume_rejects_another_kernels_checkpoint(saved, resumed):
+    tensor = _tensor(5)
+    store = CheckpointStore()
+    parallel_cp_als(tensor, RANK, N_PROCS, n_iter_max=1, tol=0.0, seed=5, kernel=saved,
+                    checkpoint_store=store)
+    with pytest.raises(
+        ParameterError, match=f"'parallel-{saved}' kernel checkpoint into a 'parallel-{resumed}'"
+    ):
+        parallel_cp_als(tensor, RANK, N_PROCS, n_iter_max=2, tol=0.0, seed=5, kernel=resumed,
+                        resume_from=store.latest())
+
+
+def test_sequential_checkpoint_is_not_resumed_by_the_parallel_driver():
+    tensor = _tensor(5)
+    store = CheckpointStore()
+    cp_als(tensor, RANK, n_iter_max=1, tol=0.0, seed=5, kernel="dimtree", checkpoint_store=store)
+    with pytest.raises(ParameterError, match="'dimtree' kernel checkpoint into a 'sweep-word-counter'"):
+        parallel_cp_als(tensor, RANK, N_PROCS, n_iter_max=2, tol=0.0, seed=5, kernel="dimtree",
+                        resume_from=store.latest())

@@ -172,7 +172,7 @@ class TestOnFaultPolicies:
 
 
 class TestInjectedFaultExactness:
-    @pytest.mark.parametrize("kernel", ["exact", "dimtree", "sampled-dimtree"])
+    @pytest.mark.parametrize("kernel", ["einsum", "dimtree", "sampled-dimtree"])
     def test_retry_run_matches_fault_free_bitwise(self, kernel):
         tensor = _tensor(3)
         kwargs = dict(n_iter_max=4, tol=0.0, seed=3, kernel=kernel)

@@ -445,7 +445,7 @@ class TestSampledKernelIntegration:
     def test_parallel_cp_als_sampled_tree_kernel(self):
         tensor = random_tensor(SHAPE, seed=4)
         result = parallel_cp_als(
-            tensor, 2, 4, kernel="sampled-tree", n_samples=24, n_iter_max=2, seed=0
+            tensor, 2, 4, kernel="sampled-tree", n_iter_max=2, seed=0
         )
         assert result.total_words > 0
 
